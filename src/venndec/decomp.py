@@ -129,25 +129,39 @@ def _als_refit(
     Keeps A and B unit-column, returns (A, B, C_scaled) where C_scaled has
     one scaled third-mode factor per row.  Strips the eigenvector
     perturbation left by the diagonalization step; stops once the fit stalls.
+
+    Each update solves the normal equations of its least-squares problem:
+    the unfolding times the Khatri-Rao product of the two fixed factors
+    (an MTTKRP), against the Hadamard product of their m x m Grams
+    (Kolda & Bader 2009), so no tall system is ever factored.
     """
     n1, n2, n3 = data.shape
+    X1 = data.reshape(n1, n2 * n3)
+    X2 = np.moveaxis(data, 1, 0).reshape(n2, n1 * n3)
+    X3 = data.reshape(n1 * n2, n3)
 
     def normalized(M: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(M, axis=0)
         return M / np.where(norms > 0, norms, 1.0)
 
+    def solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # the Gram is singular when the Khatri-Rao columns are dependent;
+        # lstsq then picks the minimum-norm solution as a tall lstsq would
+        return np.linalg.lstsq(gram, rhs, rcond=_RCOND)[0]
+
     kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
-    C = np.linalg.lstsq(kr_ab, data.reshape(n1 * n2, n3), rcond=_RCOND)[0]
-    prev = float(np.linalg.norm(data.reshape(n1 * n2, n3) - kr_ab @ C))
+    C = solve((A.T @ A) * (B.T @ B), kr_ab.T @ X3)
+    # the stall residual is taken directly: expanding it through the Grams
+    # cancels catastrophically at the noise floor
+    prev = float(np.linalg.norm(X3 - kr_ab @ C))
     for _ in range(max_rounds):
         kr_bc = np.einsum("jr,kr->jkr", B, C.T).reshape(n2 * n3, -1)
-        A = normalized(np.linalg.lstsq(kr_bc, data.reshape(n1, -1).T, rcond=_RCOND)[0].T)
+        A = normalized(solve((B.T @ B) * (C @ C.T), (X1 @ kr_bc).T).T)
         kr_ac = np.einsum("ir,kr->ikr", A, C.T).reshape(n1 * n3, -1)
-        unf2 = np.moveaxis(data, 1, 0).reshape(n2, -1)
-        B = normalized(np.linalg.lstsq(kr_ac, unf2.T, rcond=_RCOND)[0].T)
+        B = normalized(solve((A.T @ A) * (C @ C.T), (X2 @ kr_ac).T).T)
         kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
-        C = np.linalg.lstsq(kr_ab, data.reshape(n1 * n2, n3), rcond=_RCOND)[0]
-        res = float(np.linalg.norm(data.reshape(n1 * n2, n3) - kr_ab @ C))
+        C = solve((A.T @ A) * (B.T @ B), kr_ab.T @ X3)
+        res = float(np.linalg.norm(X3 - kr_ab @ C))
         if res >= prev * (1.0 - 1e-3):
             break
         prev = res
@@ -178,7 +192,7 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     unf2 = np.moveaxis(t.data, 1, 0).reshape(n2, n1 * n3)
     u1 = np.linalg.svd(unf1, full_matrices=False)[0][:, :m]
     u2 = np.linalg.svd(unf2, full_matrices=False)[0][:, :m]
-    core = np.einsum("ia,jb,ijk->abk", u1, u2, t.data)
+    core = np.einsum("ia,jb,ijk->abk", u1, u2, t.data, optimize=True)
 
     last_gap = math.inf
     for _ in range(_MAX_PROBE_RETRIES):

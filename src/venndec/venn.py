@@ -40,6 +40,10 @@ __all__ = [
 
 _EINSUM_LETTERS = "abcdefghijkl"
 _WEIGHT_DROP = 1e-10
+# eigenvalues of the pattern Gram below this fraction of the largest are
+# treated as zero; the Gram of 0/1 patterns is an exact integer matrix, so
+# its null directions show up at roundoff level, far below this cutoff
+_GRAM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,30 @@ def _default_m_max(n: int, ell: int) -> int:
     return math.floor((n / ell) ** ((ell - 1) // 2) / 2)
 
 
+def _refit_weights(data: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Nonnegative weights w minimizing ||M w - t|| for the order-ell tensor t.
+
+    M has one column chi_r^(x ell) per pattern column of X, but is never
+    built: its Gram is G = (X^T X)^ell entrywise, and M^T t is the vector
+    b_r = T(chi_r, ..., chi_r).  With G = V diag(lam) V^T, dropping the
+    eigenvalues below _GRAM_RTOL * lam_max, R = diag(sqrt(lam)) V^T and
+    d = diag(1/sqrt(lam)) V^T b satisfy ||R w - d||^2 = ||M w - t||^2 - const
+    because b lies in the range of G, so NNLS on the small pair (R, d) has
+    the same minimizer as on (M, t).
+    """
+    ell = data.ndim
+    n, m = X.shape
+    b = data.reshape(-1, n) @ X
+    for _ in range(ell - 1):
+        b = np.einsum("pir,ir->pr", b.reshape(-1, n, m), X)
+    lam, V = np.linalg.eigh((X.T @ X) ** ell)
+    keep = lam > _GRAM_RTOL * lam[-1]
+    root = np.sqrt(lam[keep])
+    Vk = V[:, keep]
+    w, _ = nnls(root[:, None] * Vk.T, (Vk.T @ b.ravel()) / root)
+    return w
+
+
 def reconstruct(
     t_obs: MeasurementTensor,
     m_max: int | None = None,
@@ -325,15 +353,7 @@ def reconstruct(
     unique = sorted(set(p for p in patterns if any(p)))
     if not unique:
         return VennDiagram(n, ())
-    columns = []
-    for p in unique:
-        chi = np.array(p, dtype=float)
-        col = chi
-        for _ in range(ell - 1):
-            col = np.multiply.outer(col, chi)
-        columns.append(col.ravel())
-    M = np.column_stack(columns)
-    w, _ = nnls(M, full.data.ravel())
+    w = _refit_weights(full.data, np.array(unique, dtype=float).T)
     regions = tuple(
         Region(p, float(wi)) for p, wi in zip(unique, w) if wi > _WEIGHT_DROP
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from venndec.decomp import (
+    _als_refit,
     condition_report,
     factor_rank_one,
     group_for_jennrich,
@@ -129,6 +130,55 @@ def test_jennrich_rank_bounds():
         jennrich(t, 0)
     with pytest.raises(ValueError, match="order"):
         jennrich(Tensor(np.ones((3, 3))), 1)
+
+
+def als_refit_lstsq(data, A, B, max_rounds=40):
+    """The ALS polish with each update as a tall least-squares solve, kept
+    as the reference for the Gram-form updates."""
+    n1, n2, n3 = data.shape
+
+    def normalized(M):
+        norms = np.linalg.norm(M, axis=0)
+        return M / np.where(norms > 0, norms, 1.0)
+
+    X3 = data.reshape(n1 * n2, n3)
+    kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
+    C = np.linalg.lstsq(kr_ab, X3, rcond=1e-12)[0]
+    prev = float(np.linalg.norm(X3 - kr_ab @ C))
+    for _ in range(max_rounds):
+        kr_bc = np.einsum("jr,kr->jkr", B, C.T).reshape(n2 * n3, -1)
+        A = normalized(np.linalg.lstsq(kr_bc, data.reshape(n1, -1).T, rcond=1e-12)[0].T)
+        kr_ac = np.einsum("ir,kr->ikr", A, C.T).reshape(n1 * n3, -1)
+        unf2 = np.moveaxis(data, 1, 0).reshape(n2, -1)
+        B = normalized(np.linalg.lstsq(kr_ac, unf2.T, rcond=1e-12)[0].T)
+        kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
+        C = np.linalg.lstsq(kr_ab, X3, rcond=1e-12)[0]
+        res = float(np.linalg.norm(X3 - kr_ab @ C))
+        if res >= prev * (1.0 - 1e-3):
+            break
+        prev = res
+    return A, B, C
+
+
+def fit_residual(data, A, B, C):
+    kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(A.shape[0] * B.shape[0], -1)
+    return float(np.linalg.norm(data.reshape(kr_ab.shape[0], -1) - kr_ab @ C))
+
+
+def test_als_refit_rank_deficient_khatri_rao_matches_lstsq():
+    # starting factors with one (a, b) column pair duplicated: the Khatri-Rao
+    # matrix, and so every Hadamard-product Gram, is singular in every round
+    rng = generator(11, "als-dup")
+    factors, _, t = random_terms(rng, (6, 7, 8), 3)
+    data = t.data + 1e-6 * rng.standard_normal(t.dims)
+    start = [f + 1e-3 * rng.standard_normal(f.shape) for f in factors[:2]]
+    A, B = (f[:, [0, 1, 1]] for f in start)
+    assert np.linalg.matrix_rank(np.einsum("ir,jr->ijr", A, B).reshape(42, 3)) == 2
+
+    got = _als_refit(data, A, B)
+    want = als_refit_lstsq(data, A, B)
+    assert all(np.all(np.isfinite(x)) for x in got)
+    assert fit_residual(data, *got) == pytest.approx(fit_residual(data, *want), rel=1e-6)
 
 
 # --- grouping ---------------------------------------------------------------

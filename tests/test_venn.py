@@ -1,5 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from venndec.rng import generator
 from venndec.tensor import Tensor
@@ -10,6 +16,7 @@ from venndec.venn import (
     add_measurement_noise,
     diagram_diff,
     intersection_tensor,
+    _refit_weights,
     rank_detect,
     reconstruct,
 )
@@ -184,6 +191,60 @@ def test_reconstruct_noisy_weights_close():
     d = diagram_diff(v, got)
     assert not d.only_in_first and not d.only_in_second
     assert d.weight_l1 <= 1e-4
+
+
+def dense_refit(data, X):
+    """NNLS on the n^ell x m design of chi_r^(x ell) columns: the reference
+    for the Gram-form refit."""
+    cols = []
+    for chi in X.T:
+        col = chi
+        for _ in range(data.ndim - 1):
+            col = np.multiply.outer(col, chi)
+        cols.append(col.ravel())
+    M = np.column_stack(cols)
+    return M, nnls(M, data.ravel())[0]
+
+
+def signed_tensor(X, w, ell, rng):
+    """sum_r w_r chi_r^(x ell) plus dense noise; negative w_r make the
+    nonnegativity constraint bind."""
+    letters = "abcd"[:ell]
+    data = np.einsum(",".join(f"{c}r" for c in letters) + ",r->" + letters, *([X] * ell), w)
+    return data + 1e-3 * rng.standard_normal(data.shape)
+
+
+@given(st.integers(0, 10_000))
+def test_refit_weights_match_dense_nnls(seed):
+    rng = generator(seed, "refit")
+    n, ell = int(rng.integers(3, 8)), int(rng.integers(3, 5))
+    m = int(rng.integers(1, min(8, 2**n - 1) + 1))
+    X = random_diagram(n, m, seed).columns()
+    data = signed_tensor(X, rng.uniform(-1.0, 2.0, size=m), ell, rng)
+    M, want = dense_refit(data, X)
+    assert np.linalg.matrix_rank(M) == m  # singular Grams: see the next test
+    got = _refit_weights(data, X)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_refit_weights_singular_gram_reaches_dense_objective(n):
+    # all nonzero patterns on n sets: their cubes span only the
+    # C(n,1) + C(n,2) + C(n,3) dimensions of degree <= 3 monomials (14 of 15
+    # at n=4, 25 of 31 at n=5), so the minimizer is not unique and only the
+    # objective is compared
+    X = np.array(list(itertools.product((0.0, 1.0), repeat=n))[1:]).T
+    m = X.shape[1]
+    M, _ = dense_refit(np.zeros((n, n, n)), X)
+    assert np.linalg.matrix_rank(M) == sum(math.comb(n, k) for k in (1, 2, 3)) < m
+    for seed in range(5):
+        rng = generator(seed, "refit-singular")
+        data = signed_tensor(X, rng.uniform(-1.0, 2.0, size=m), 3, rng)
+        _, want = dense_refit(data, X)
+        got = _refit_weights(data, X)
+        assert np.all(got >= 0.0)
+        t = data.ravel()
+        assert np.linalg.norm(M @ got - t) == pytest.approx(np.linalg.norm(M @ want - t), rel=1e-9, abs=1e-12)
 
 
 # --- diffs ----------------------------------------------------------------------
