@@ -370,11 +370,20 @@ def recover_rank_one_terms(
 
 def leave_one_out_distances(a: np.ndarray) -> np.ndarray:
     """Distance from each column to the span of the remaining columns."""
+    A = _column_matrix(a)
+    return _leave_one_out(A, svdvals(A))
+
+
+def _column_matrix(a: np.ndarray) -> np.ndarray:
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[1] == 0:
         raise ValueError("need a nonempty 2-D column matrix")
+    return A
+
+
+def _leave_one_out(A: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``leave_one_out_distances`` of A, given its singular values s."""
     rows, m = A.shape
-    s = svdvals(A)
     full_rank = m <= rows and s[-1] > max(rows, m) * np.finfo(float).eps * s[0]
     if full_rank:
         # for full column rank, dist_j = 1 / ||row_j of pinv(A)||
@@ -434,7 +443,7 @@ def condition_report(a: np.ndarray, c: np.ndarray | None = None) -> ConditionRep
     if A.ndim != 2:
         raise ValueError("factor matrix must be 2-D")
     s = svdvals(A)
-    loo = leave_one_out_distances(A)
+    loo = _leave_one_out(_column_matrix(A), s)
     sep: float | None = None
     if c is not None:
         C = np.asarray(c, dtype=float)

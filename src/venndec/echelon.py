@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import lapack, null_space, qr, svdvals
 
 from .tensor import Tensor, norm
 
@@ -143,28 +143,29 @@ def orthogonal_complement(v: SubspaceBasis) -> SubspaceBasis:
 
 
 def _constrain_coords(B: np.ndarray, coords: Sequence[int], rcond: float = _RCOND) -> np.ndarray:
-    """Basis of {x in span(B) : x[c] = 0 for all c in coords}."""
+    """Basis of {x in span(B) : x[c] = 0 for all c in coords}.
+
+    The coefficients y with (B y)[coords] = 0 form the null space of
+    R = B[coords, :], whose rank follows ``null_space``'s rule: singular
+    values above rcond * sigma_max.  A pivoted Householder QR R^T P = Q T
+    puts range(R^T) in the first ``rank`` columns of Q, so B Q[:, rank:] is
+    the constrained basis.  It is read off as rows rank: of Q^T B^T, with the
+    reflectors applied by ``dormqr`` and Q never formed.
+    """
     if B.shape[1] == 0:
         return B
     R = B[np.asarray(coords, dtype=int), :]
     if np.max(np.abs(R)) <= 1e-12:
         return B  # constraints already hold
-    N = null_space(R, rcond=rcond)
-    return B @ N
-
-
-def _drop_pivot(B: np.ndarray, coord: int) -> np.ndarray:
-    """Single-coordinate constraint via a Householder rotation in coefficient space."""
-    d = B.shape[1]
-    r = B[coord, :].copy()
-    nr = np.linalg.norm(r)
-    if nr <= 1e-14:
-        return B
-    w = r / nr
-    w[d - 1] += 1.0 if w[d - 1] >= 0 else -1.0
-    w /= np.linalg.norm(w)
-    BH = B - 2.0 * np.outer(B @ w, w)
-    return np.ascontiguousarray(BH[:, : d - 1])
+    s = svdvals(R)
+    rank = int(np.sum(s > rcond * s[0]))
+    (h, tau), _, _ = qr(R.T, mode="raw", pivoting=True)
+    h = h[:, : tau.size]
+    _, work, _ = lapack.dormqr("L", "T", h, tau, B.T, -1)
+    qtbt, _, info = lapack.dormqr("L", "T", h, tau, B.T, int(work[0]))
+    if info != 0:
+        raise RuntimeError(f"dormqr failed with info={info}")
+    return qtbt[rank:].T
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +372,34 @@ def eliminate_height1(
 
 
 def _eliminate(B: np.ndarray, needed: int | None, tol: float = _PIVOT_TOL) -> list[tuple[int, np.ndarray]]:
-    out: list[tuple[int, np.ndarray]] = []
-    while B.shape[1] > 0 and (needed is None or len(out) < needed):
-        row_norms = np.linalg.norm(B, axis=1)
-        p_star = int(np.argmax(row_norms))
-        if row_norms[p_star] <= tol:
-            # numerically everything left is below pivot tolerance
-            if needed is None:
-                break
+    """Greedy pivoted elimination of span(B) as one pivoted QR of B^T.
+
+    Step j pivots at the coordinate whose projection onto the part of span(B)
+    vanishing at the earlier pivots is longest; that projection, scaled to 1
+    at its pivot, is vector j.  Column-pivoted QR B^T P = Q R makes the same
+    choices, and B Q = P R^T says vector j is row j of R put back at the
+    pivot coordinates, over R[j, j]: zero at earlier pivots, exactly 1 at its
+    own, and no larger elsewhere.  Stops at the first |R[j, j]| <= tol, or
+    after ``needed`` vectors; raises when fewer than ``needed`` exist.
+    """
+    ambient, d = B.shape
+    R, piv = qr(B.T, mode="r", pivoting=True)
+    count = d if needed is None else min(d, needed)
+    collapsed = np.flatnonzero(np.abs(np.diagonal(R)[:count]) <= tol)
+    if collapsed.size:
+        count = int(collapsed[0])
+        if needed is not None:
             raise ValueError(
-                f"pivot collapse: all candidate magnitudes <= {tol} with {B.shape[1]} dims left"
+                f"pivot collapse: all candidate magnitudes <= {tol} with {d - count} dims left"
             )
-        v = B @ (B[p_star, :] / row_norms[p_star])
-        pivot = int(np.argmax(np.abs(v)))
-        v = v / v[pivot]  # pivot entry becomes exactly 1, max-norm 1
-        out.append((pivot, v))
-        B = _drop_pivot(B, pivot)
-    if needed is not None and len(out) < needed:
-        raise ValueError(f"subspace exhausted after {len(out)} pivots, needed {needed}")
+    if needed is not None and count < needed:
+        raise ValueError(f"subspace exhausted after {count} pivots, needed {needed}")
+    out: list[tuple[int, np.ndarray]] = []
+    for j in range(count):
+        v = np.empty(ambient)  # its own buffer, so a kept leaf holds no block
+        v[piv] = R[j] / R[j, j]
+        v[piv[j]] = 1.0
+        out.append((int(piv[j]), v))
     return out
 
 
@@ -408,8 +419,11 @@ def build_echelon_tree(
 
     Raises ValueError when the spec is infeasible for dim(W) or when pivots
     collapse numerically.  Leaf tensors come out with max-norm 1 and entry
-    exactly 1 at their own index.  Deterministic: ties in pivot choice and in
-    the pigeonhole step are broken toward the smallest index.
+    exactly 1 at their own index.  Deterministic: the pigeonhole step breaks
+    ties toward the smallest index.  A pivot tie goes to the candidate that
+    comes first in LAPACK ``geqp3``'s working column order, which swaps each
+    chosen column into place, so it is not always the smallest index (after
+    pivot 2 of 5, columns 0 and 2 trade places and column 1 leads).
     """
     dims = w.dims
     if len(spec.alphas) != len(dims):
@@ -592,6 +606,12 @@ def verify_echelon(t: EchelonTree, tolerance: float = 1e-9) -> VerifyReport:
             violations.append(Violation("leaf tensor shape mismatch", (), None, 0.0))
             return VerifyReport(ok=False, violations=tuple(violations))
 
+    # Slice T_I[J, ...] of a level-k node J is row ``flat(J)`` of T_I reshaped
+    # to (n_1 * ... * n_k, -1); the per-level row maxima, stacked level after
+    # level, are gathered at ``keys`` (one per node, in post-order).
+    grids = [np.arange(math.prod(t.dims[:k])).reshape(t.dims[:k]) for k in range(1, t.height + 1)]
+    offsets = np.cumsum([0] + [g.size for g in grids[:-1]])
+    keys = np.array([offsets[n.level - 1] + grids[n.level - 1][n.index] for n in order], dtype=int)
     for pos, node in enumerate(order):
         if not node.is_leaf():
             continue
@@ -599,11 +619,11 @@ def verify_echelon(t: EchelonTree, tolerance: float = 1e-9) -> VerifyReport:
         pivot_val = abs(float(data[node.index]))
         if not pivot_val > tolerance:
             violations.append(Violation("pivot below tolerance", node.index, None, pivot_val))
-        for j_node in order[:pos]:
-            sub = data[j_node.index]
-            worst = float(np.max(np.abs(sub)))
-            if worst > tolerance:
-                violations.append(Violation("nonzero before pivot", node.index, j_node.index, worst))
+        magnitude = np.abs(data)
+        maxima = np.concatenate([magnitude.reshape(g.size, -1).max(axis=1) for g in grids])
+        worst = maxima[keys[:pos]]
+        for j in np.flatnonzero(worst > tolerance):
+            violations.append(Violation("nonzero before pivot", node.index, order[j].index, float(worst[j])))
     return VerifyReport(ok=not violations, violations=tuple(violations))
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from venndec.echelon import (
     BranchingSpec,
@@ -17,6 +18,8 @@ from venndec.echelon import (
     orthogonal_complement,
     reduce_tree,
     verify_echelon,
+    _constrain_coords,
+    _eliminate,
 )
 from venndec.rng import generator
 from venndec.tensor import Tensor, multilinear_eval
@@ -103,6 +106,110 @@ def test_eliminate_errors_on_empty_subspace():
     w = SubspaceBasis((2,), np.eye(2))
     with pytest.raises(ValueError):
         eliminate_height1(w, forbidden_pivots=[0, 1])
+
+
+# Reference elimination: greedy pivoting with one Householder reflection per
+# pivot in coefficient space, and slice constraints through a full SVD.
+
+
+def _reference_constrain(B, coords, rcond=1e-10):
+    R = B[np.asarray(coords, dtype=int), :]
+    if np.max(np.abs(R)) <= 1e-12:
+        return B
+    return B @ null_space(R, rcond=rcond)
+
+
+def _reference_drop_pivot(B, coord):
+    d = B.shape[1]
+    r = B[coord, :].copy()
+    nr = np.linalg.norm(r)
+    if nr <= 1e-14:
+        return B
+    w = r / nr
+    w[d - 1] += 1.0 if w[d - 1] >= 0 else -1.0
+    w /= np.linalg.norm(w)
+    BH = B - 2.0 * np.outer(B @ w, w)
+    return np.ascontiguousarray(BH[:, : d - 1])
+
+
+def _reference_eliminate(B, needed, tol=1e-10):
+    out = []
+    while B.shape[1] > 0 and (needed is None or len(out) < needed):
+        row_norms = np.linalg.norm(B, axis=1)
+        p_star = int(np.argmax(row_norms))
+        if row_norms[p_star] <= tol:
+            break
+        v = B @ (B[p_star, :] / row_norms[p_star])
+        pivot = int(np.argmax(np.abs(v)))
+        out.append((pivot, v / v[pivot]))
+        B = _reference_drop_pivot(B, pivot)
+    return out
+
+
+def _assert_same_elimination(got, want):
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (_, v), (_, ref) in zip(got, want):
+        np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eliminate_matches_reference_loop(seed):
+    rng = generator(seed, "eliminate")
+    n = int(rng.integers(6, 30))
+    dim = int(rng.integers(2, n))
+    w = random_subspace((n,), dim, seed=200 + seed)
+    forbidden = sorted(rng.choice(n, size=int(rng.integers(0, dim)), replace=False).tolist())
+    B = _constrain_coords(w.vectors, forbidden) if forbidden else w.vectors
+    ref_B = _reference_constrain(w.vectors, forbidden) if forbidden else w.vectors
+    assert B.shape == ref_B.shape
+    np.testing.assert_allclose(B @ B.T, ref_B @ ref_B.T, rtol=0.0, atol=1e-12)
+    _assert_same_elimination(_eliminate(B, needed=None), _reference_eliminate(ref_B, None))
+    needed = B.shape[1] // 2 + 1
+    _assert_same_elimination(_eliminate(B, needed=needed), _reference_eliminate(ref_B, needed))
+
+
+def test_constrain_rank_deficient_coordinates_matches_reference():
+    # every vector of W has x[0] == x[1] and x[2] == -2 x[3], so each pair of
+    # forbidden coordinates removes one dimension, not two; the last set has
+    # more coordinates than W has dimensions and still leaves one
+    rng = generator(17, "deficient")
+    span = rng.standard_normal((10, 6))
+    span[1] = span[0]
+    span[2] = -2.0 * span[3]
+    w = SubspaceBasis.from_span(span, (10,))
+    for coords in ([0, 1], [0, 1, 2, 3], [1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 6]):
+        B = _constrain_coords(w.vectors, coords)
+        ref_B = _reference_constrain(w.vectors, coords)
+        assert B.shape == ref_B.shape
+        np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(B @ B.T, ref_B @ ref_B.T, rtol=0.0, atol=1e-12)
+        _assert_same_elimination(_eliminate(B, needed=None), _reference_eliminate(ref_B, None))
+    pairs = eliminate_height1(w, forbidden_pivots=[0, 1, 2, 3])
+    assert len(pairs) == 4
+    for _, v in pairs:
+        assert np.max(np.abs(v[:4])) <= 1e-12
+
+
+def test_eliminate_errors_keep_their_messages():
+    w = SubspaceBasis((3,), np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="subspace exhausted after 2 pivots, needed 3"):
+        _eliminate(w.vectors, needed=3)
+    with pytest.raises(ValueError, match="pivot collapse"):
+        _eliminate(np.vstack([np.eye(2), np.zeros((1, 2))]) * 1e-11, needed=1)
+
+
+def test_exact_tie_follows_geqp3_column_order():
+    # rows 0, 1, 3, 4 tie after pivot 2; geqp3 swapped column 0 to where
+    # column 2 was, so column 1 now comes first among the tied candidates
+    b = np.zeros((5, 3))
+    b[2, 0] = 1.0
+    b[[0, 3], 1] = 2**-0.5
+    b[[1, 4], 2] = 2**-0.5
+    w = SubspaceBasis((5,), b)
+    assert [p for p, _ in eliminate_height1(w)] == [2, 1, 0]
+    tree, _ = build_echelon_tree(w, BranchingSpec((0.6,)))
+    assert verify_echelon(tree).ok
+    assert [n.index for n in tree.tree.nodes_postorder()] == [(2,), (1,), (0,)]
 
 
 # --- construction -----------------------------------------------------------
@@ -197,6 +304,19 @@ def test_build_leaf_count_dimension_bound():
         assert np.linalg.svd(flat, compute_uv=False)[-1] > 1e-8
 
 
+def test_leaf_tensors_own_their_buffers():
+    w = random_subspace((4, 4, 4), 56, seed=5)
+    tree, _ = build_echelon_tree(w, BranchingSpec((0.5, 0.5, 0.5)))
+    leaves = [t.data for t in tree.leaf_tensors.values()]
+    for i, a in enumerate(leaves):
+        root = a
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == a.nbytes  # no larger block kept alive
+        for b in leaves[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
 def test_build_is_deterministic():
     w = random_subspace((3, 3, 3), 20, seed=11)
     t1, _ = build_echelon_tree(w, BranchingSpec((1 / 3, 1 / 3, 1 / 3)))
@@ -229,6 +349,42 @@ def test_verify_catches_dead_pivot():
     report = verify_echelon(EchelonTree(tree.tree, bad))
     assert not report.ok
     assert any("pivot below" in v.kind for v in report.violations)
+
+
+def _reference_verify(t, tolerance=1e-9):
+    order = list(t.tree.nodes_postorder())
+    violations = []
+    for pos, node in enumerate(order):
+        if not node.is_leaf():
+            continue
+        data = t.leaf_tensors[node.index].data
+        pivot_val = abs(float(data[node.index]))
+        if not pivot_val > tolerance:
+            violations.append(("pivot below tolerance", node.index, None, pivot_val))
+        for j_node in order[:pos]:
+            worst = float(np.max(np.abs(data[j_node.index])))
+            if worst > tolerance:
+                violations.append(("nonzero before pivot", node.index, j_node.index, worst))
+    return violations
+
+
+def test_verify_matches_slice_by_slice_reference():
+    w = random_subspace((3, 3, 3), 20, seed=11)
+    tree, _ = build_echelon_tree(w, BranchingSpec((1 / 3, 1 / 3, 1 / 3)))
+    rng = generator(18, "tamper")
+    bad = {}
+    for idx, t in tree.leaf_tensors.items():
+        data = t.data.copy()
+        hit = rng.random(data.shape) < 0.1
+        data[hit] += rng.uniform(-1e-6, 1e-6, size=int(hit.sum()))
+        data[idx] *= rng.choice([1.0, 0.0], p=[0.8, 0.2])
+        bad[idx] = Tensor(data)
+    tampered = EchelonTree(tree.tree, bad)
+    report = verify_echelon(tampered)
+    got = [(v.kind, v.node, v.against, v.value) for v in report.violations]
+    want = _reference_verify(tampered)
+    assert want and not report.ok
+    assert got == want
 
 
 def test_tree_json_uses_one_based_indices():
