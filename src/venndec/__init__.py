@@ -1,22 +1,20 @@
 """Reconstruction of weighted set families from intersection tensors.
 
-Submodules: ``tensor`` (dense multilinear arithmetic), ``perturb``
-(interval-bounded noise models), ``echelon`` (structured subspace bases and
-distance certificates), ``decomp`` (simultaneous diagonalization),
-``venn`` (diagram model and end-to-end reconstruction), ``assemblies``
-(association graphs as overlapping subset families), ``experiments``
-(seeded Monte Carlo harness), ``cli`` (command-line front end).
+Submodules: ``tensor`` (dense tensors, outer products, mode grouping and
+subtensors), ``perturb`` (interval-bounded noise models), ``echelon``
+(structured subspace bases and distance certificates), ``decomp``
+(simultaneous diagonalization, and the one rule that groups an order-ell
+tensor into three blocks for it), ``venn`` (diagram model and end-to-end
+reconstruction), ``assemblies`` (association graphs as overlapping subset
+families), ``experiments`` (seeded Monte Carlo harness), ``cli``
+(command-line front end).
 """
 
 from .tensor import (
-    ModePartition,
     Tensor,
     extract_subtensor,
     group,
-    multilinear_eval,
-    norm,
     outer,
-    partial_apply,
     split_coordinates,
 )
 from .perturb import (
@@ -38,7 +36,6 @@ from .echelon import (
     build_echelon_tree,
     certify_distance,
     collapse,
-    eliminate_height1,
     largeness,
     orthogonal_complement,
     reduce_tree,
@@ -50,9 +47,9 @@ from .decomp import (
     RankOneTerm,
     condition_report,
     factor_rank_one,
-    group_for_jennrich,
     jennrich,
     leave_one_out_distances,
+    max_terms,
     recover_rank_one_terms,
 )
 from .venn import (

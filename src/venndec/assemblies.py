@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,23 +70,12 @@ class AssociationGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def max_degree(self) -> int:
         deg = [0] * self.n_vertices
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
         return max(deg) if deg else 0
-
-    def non_edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(self.n_vertices)
-            for v in range(u + 1, self.n_vertices)
-            if (u, v) not in self.edges
-        ]
 
     def to_edge_list_text(self) -> str:
         """One '1-based u v' line per edge, preceded by a vertex-count header."""
@@ -141,7 +130,7 @@ class AssemblyParams:
 
 @dataclass(frozen=True, eq=False)
 class AssemblyFamily:
-    """One subset of [N] per vertex; elements 0-based in memory, 1-based on disk."""
+    """One subset of [N] per vertex; elements are 0-based."""
 
     N: int
     sets: tuple[np.ndarray, ...]
@@ -164,18 +153,6 @@ class AssemblyFamily:
 
     def sizes(self) -> list[int]:
         return [int(s.size) for s in self.sets]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "sets": [(s + 1).tolist() for s in self.sets],
-            "size_mode": self.size_mode,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "AssemblyFamily":
-        sets = tuple(np.asarray(s, dtype=np.int64) - 1 for s in obj["sets"])
-        return cls(int(obj["N"]), sets, size_mode=obj.get("size_mode", "exact"))
 
 
 def represent_graph(g: AssociationGraph, p: AssemblyParams) -> AssemblyFamily:
@@ -224,15 +201,6 @@ class RepresentationViolation:
 class RepresentationReport:
     ok: bool
     violations: tuple[RepresentationViolation, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "where": list(v.where), "value": v.value}
-                for v in self.violations
-            ],
-        }
 
 
 def verify_representation(
@@ -307,13 +275,6 @@ class Instruction:
             args = (str(args[0]), str(args[1]))
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "out", str(self.out))
-
-    def to_json_dict(self) -> dict:
-        return {"op": self.op, "args": list(self.args), "out": self.out}
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "Instruction":
-        return cls(obj["op"], tuple(obj["args"]), obj["out"])
 
 
 def _sample_universe(rng: np.random.Generator, n_total: int, prob: float) -> np.ndarray:

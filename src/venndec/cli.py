@@ -319,7 +319,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except KeyError as exc:  # a JSON input without a field its reader needs
+        sys.stderr.write(f"error: missing field {exc.args[0]!r}\n")
+        return _EXIT_CONTRACT
+    except (ValueError, TypeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_CONTRACT
 

@@ -7,9 +7,12 @@ b_j are linearly independent and the ratios (c_j . x)/(c_j . y) are distinct,
 the eigenvectors of M_x pinv(M_y) are the a_j and those of the transposed
 problem are the b_j; the c_j then come out of a linear solve.
 
-Higher-order tensors are handled by grouping modes into three blocks and
-un-grouping each recovered factor as a rank-one matrix or tensor
-(``recover_rank_one_terms``).
+An order-ell tensor with ell > 3 is first grouped into three blocks by one
+rule, "halves": the first floor(ell/2) modes, the next ell-1-floor(ell/2)
+modes, and the last mode alone.  Each recovered grouped factor is then split
+back into its modes by rank-one factorization (``recover_rank_one_terms``).
+``max_terms`` is the largest term count that grouping accepts, the smaller of
+the first two block sizes; callers choosing what to decompose ask it.
 
 ``condition_report`` summarizes how well-posed such a decomposition is for a
 given factor matrix: its extreme singular values, the leave-one-out distances
@@ -21,20 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import pinv, svdvals
 
 from .rng import generator
-from .tensor import ModePartition, Tensor, group, outer
+from .tensor import Tensor, group, outer
 
 __all__ = [
     "RankOneTerm",
     "DecompositionResult",
     "ConditionReport",
     "jennrich",
-    "group_for_jennrich",
+    "max_terms",
     "recover_rank_one_terms",
     "factor_rank_one",
     "condition_report",
@@ -90,12 +92,6 @@ class DecompositionResult:
     @property
     def rank(self) -> int:
         return len(self.terms)
-
-    def reconstruct(self) -> Tensor:
-        if not self.terms:
-            raise ValueError("empty decomposition has no defined shape")
-        total = sum(term.tensor().data for term in self.terms)
-        return Tensor(total)
 
 
 def _fix_sign(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -181,8 +177,9 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     if t.order != 3:
         raise ValueError(f"simultaneous diagonalization needs an order-3 tensor, got order {t.order}")
     n1, n2, n3 = t.dims
-    if not 1 <= m <= min(n1, n2):
-        raise ValueError(f"rank m={m} must lie in [1, min(n1, n2)] = [1, {min(n1, n2)}]")
+    cap = max_terms(t.dims)
+    if not 1 <= m <= cap:
+        raise ValueError(f"rank m={m} must lie in [1, min(n1, n2)] = [1, {cap}]")
 
     rng = generator(seed, "jennrich")
     # compress modes 1 and 2 onto their top-m singular subspaces so that the
@@ -249,33 +246,28 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     )
 
 
-def group_for_jennrich(
-    t: Tensor,
-    scheme: str = "halves",
-    partition: ModePartition | None = None,
-) -> tuple[Tensor, ModePartition]:
-    """Group an order >= 3 tensor into three blocks for decomposition.
-
-    scheme "halves" splits the first ell-1 modes into two near-equal blocks
-    and keeps the last mode alone; "thirds" uses three contiguous blocks with
-    sizes differing by at most one.  An explicit partition overrides both.
-    """
-    ell = t.order
+def _halves(ell: int) -> tuple[int, int, int]:
+    """Mode counts of the three blocks an order-ell tensor is grouped into."""
     if ell < 3:
         raise ValueError(f"need an order >= 3 tensor, got order {ell}")
-    if partition is None:
-        if scheme == "halves":
-            g1 = ell // 2
-            sizes = (g1, ell - 1 - g1, 1)
-        elif scheme == "thirds":
-            base, extra = divmod(ell, 3)
-            sizes = tuple(base + (1 if i < extra else 0) for i in range(3))
-        else:
-            raise ValueError(f"unknown grouping scheme {scheme!r}")
-        partition = ModePartition.from_sizes(sizes)
-    if len(partition.groups) != 3:
-        raise ValueError(f"partition must have exactly 3 groups, got {len(partition.groups)}")
-    return group(t, partition), partition
+    g1 = ell // 2
+    return g1, ell - 1 - g1, 1
+
+
+def max_terms(dims: tuple[int, ...]) -> int:
+    """Largest term count the decomposition accepts for a tensor of these dims.
+
+    Simultaneous diagonalization needs the grouped factors of the first two
+    blocks to be linearly independent, so m is at most the size of each.
+    """
+    g1, g2, _ = _halves(len(dims))
+    return min(math.prod(dims[:g1]), math.prod(dims[g1 : g1 + g2]))
+
+
+def _group_for_jennrich(t: Tensor) -> tuple[Tensor, tuple[int, int, int]]:
+    """The order-3 tensor of the halves grouping, and its block sizes."""
+    sizes = _halves(t.order)
+    return group(t, sizes), sizes
 
 
 def factor_rank_one(matrix_or_tensor: np.ndarray) -> tuple[list[np.ndarray], float, float]:
@@ -324,24 +316,18 @@ def factor_rank_one(matrix_or_tensor: np.ndarray) -> tuple[list[np.ndarray], flo
     return factors, float(scale), residual
 
 
-def recover_rank_one_terms(
-    t: Tensor,
-    m: int,
-    scheme: str = "halves",
-    partition: ModePartition | None = None,
-    seed: int = 0,
-) -> DecompositionResult:
+def recover_rank_one_terms(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     """Recover m rank-one terms of an order >= 3 tensor.
 
-    Groups modes into three blocks, runs the simultaneous-diagonalization
-    step, then un-groups each grouped factor back into its constituent modes
-    by rank-one factorization.  Each term's residual is the worst relative
-    rank-one defect over its grouped factors; with noisy input this is the
-    first diagnostic to look at.
+    Groups modes into three blocks by the halves rule, runs the
+    simultaneous-diagonalization step, then un-groups each grouped factor back
+    into its constituent modes by rank-one factorization.  Each term's
+    residual is the worst relative rank-one defect over its grouped factors;
+    with noisy input this is the first diagnostic to look at.
     """
-    if t.order == 3 and partition is None and scheme == "halves":
+    if t.order == 3:
         return jennrich(t, m, seed=seed)
-    gt, partition = group_for_jennrich(t, scheme, partition)
+    gt, sizes = _group_for_jennrich(t)
     base = jennrich(gt, m, seed=seed)
 
     terms: list[RankOneTerm] = []
@@ -349,11 +335,13 @@ def recover_rank_one_terms(
         split_factors: list[np.ndarray] = []
         worst = term.residual
         scale = term.scale
-        for gi, modes in enumerate(partition.groups):
-            if len(modes) == 1:
+        start = 0
+        for gi, size in enumerate(sizes):
+            shape = t.dims[start : start + size]
+            start += size
+            if size == 1:
                 split_factors.append(term.factors[gi])
                 continue
-            shape = tuple(t.dims[mo] for mo in modes)
             fs, s, res = factor_rank_one(term.factors[gi].reshape(shape))
             split_factors.extend(np.asarray(f) for f in fs)
             scale *= s

@@ -33,13 +33,13 @@ bound because T_I lies in W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import lapack, null_space, qr, svdvals
 
-from .tensor import Tensor, norm
+from .tensor import Tensor
 
 __all__ = [
     "SubspaceBasis",
@@ -52,7 +52,6 @@ __all__ = [
     "Violation",
     "VerifyReport",
     "orthogonal_complement",
-    "eliminate_height1",
     "build_echelon_tree",
     "collapse",
     "verify_echelon",
@@ -121,17 +120,6 @@ class SubspaceBasis:
                 f"spanning set is rank-deficient: effective rank {rank} < {A.shape[1]} columns"
             )
         return cls(tuple(dims), u[:, :rank])
-
-    def to_json_dict(self) -> dict:
-        return {"dims": list(self.dims), "vectors": self.vectors.T.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "SubspaceBasis":
-        dims = [int(d) for d in obj["dims"]]
-        vecs = np.asarray(obj["vectors"], dtype=float)
-        if vecs.size == 0:
-            return cls(tuple(dims), np.zeros((math.prod(dims), 0)))
-        return cls.from_span(vecs.T, dims)
 
 
 def orthogonal_complement(v: SubspaceBasis) -> SubspaceBasis:
@@ -208,9 +196,6 @@ class IndexTree:
 
         for c in self.children:
             yield from walk(c)
-
-    def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes_postorder() if n.is_leaf()]
 
     def structural_problems(self) -> list[str]:
         problems: list[str] = []
@@ -349,29 +334,7 @@ class BuildTrace:
 # elimination and construction
 
 
-def eliminate_height1(
-    w: SubspaceBasis,
-    forbidden_pivots: Sequence[int] = (),
-    tol: float = _PIVOT_TOL,
-) -> list[tuple[int, np.ndarray]]:
-    """Pivoted elimination over a height-1 (vector) space.
-
-    Returns (pivot, vector) pairs where vector j vanishes at all earlier
-    pivots and at every forbidden coordinate, has max-norm 1, and equals 1 at
-    its own pivot.  The list exhausts the subspace obtained from W by zeroing
-    the forbidden coordinates.
-    """
-    if len(w.dims) != 1:
-        raise ValueError(f"height-1 elimination needs a vector space, got dims {w.dims}")
-    B = w.vectors
-    if forbidden_pivots:
-        B = _constrain_coords(B, sorted(set(int(c) for c in forbidden_pivots)))
-    if B.shape[1] == 0:
-        raise ValueError("subspace is trivial after forbidding the given coordinates")
-    return _eliminate(B, needed=None, tol=tol)
-
-
-def _eliminate(B: np.ndarray, needed: int | None, tol: float = _PIVOT_TOL) -> list[tuple[int, np.ndarray]]:
+def _eliminate(B: np.ndarray, needed: int) -> list[tuple[int, np.ndarray]]:
     """Greedy pivoted elimination of span(B) as one pivoted QR of B^T.
 
     Step j pivots at the coordinate whose projection onto the part of span(B)
@@ -379,20 +342,19 @@ def _eliminate(B: np.ndarray, needed: int | None, tol: float = _PIVOT_TOL) -> li
     at its pivot, is vector j.  Column-pivoted QR B^T P = Q R makes the same
     choices, and B Q = P R^T says vector j is row j of R put back at the
     pivot coordinates, over R[j, j]: zero at earlier pivots, exactly 1 at its
-    own, and no larger elsewhere.  Stops at the first |R[j, j]| <= tol, or
-    after ``needed`` vectors; raises when fewer than ``needed`` exist.
+    own, and no larger elsewhere.  Returns ``needed`` vectors; raises when
+    some |R[j, j]| before them is <= _PIVOT_TOL or fewer than ``needed`` exist.
     """
     ambient, d = B.shape
     R, piv = qr(B.T, mode="r", pivoting=True)
-    count = d if needed is None else min(d, needed)
-    collapsed = np.flatnonzero(np.abs(np.diagonal(R)[:count]) <= tol)
+    count = min(d, needed)
+    collapsed = np.flatnonzero(np.abs(np.diagonal(R)[:count]) <= _PIVOT_TOL)
     if collapsed.size:
-        count = int(collapsed[0])
-        if needed is not None:
-            raise ValueError(
-                f"pivot collapse: all candidate magnitudes <= {tol} with {d - count} dims left"
-            )
-    if needed is not None and count < needed:
+        raise ValueError(
+            f"pivot collapse: all candidate magnitudes <= {_PIVOT_TOL} "
+            f"with {d - int(collapsed[0])} dims left"
+        )
+    if count < needed:
         raise ValueError(f"subspace exhausted after {count} pivots, needed {needed}")
     out: list[tuple[int, np.ndarray]] = []
     for j in range(count):
@@ -410,20 +372,17 @@ class _Draft:
     vector: np.ndarray | None = None
 
 
-def build_echelon_tree(
-    w: SubspaceBasis,
-    spec: BranchingSpec,
-    tol: float = _PIVOT_TOL,
-) -> tuple[EchelonTree, BuildTrace]:
+def build_echelon_tree(w: SubspaceBasis, spec: BranchingSpec) -> tuple[EchelonTree, BuildTrace]:
     """Construct an echelon tree for W with the given fractional branching.
 
     Raises ValueError when the spec is infeasible for dim(W) or when pivots
-    collapse numerically.  Leaf tensors come out with max-norm 1 and entry
-    exactly 1 at their own index.  Deterministic: the pigeonhole step breaks
-    ties toward the smallest index.  A pivot tie goes to the candidate that
-    comes first in LAPACK ``geqp3``'s working column order, which swaps each
-    chosen column into place, so it is not always the smallest index (after
-    pivot 2 of 5, columns 0 and 2 trade places and column 1 leads).
+    collapse numerically (a pivot magnitude at or below 1e-10).  Leaf tensors
+    come out with max-norm 1 and entry exactly 1 at their own index.
+    Deterministic: the pigeonhole step breaks ties toward the smallest index.
+    A pivot tie goes to the candidate that comes first in LAPACK ``geqp3``'s
+    working column order, which swaps each chosen column into place, so it is
+    not always the smallest index (after pivot 2 of 5, columns 0 and 2 trade
+    places and column 1 leads).
     """
     dims = w.dims
     if len(spec.alphas) != len(dims):
@@ -438,9 +397,7 @@ def build_echelon_tree(
         )
     records: list[TraceRecord] = []
     needed = math.ceil(spec.alphas[0] * dims[0] - 1e-9)
-    drafts = _build(
-        w.vectors, dims, dims[0], needed, spec.alphas[1:], tol=tol, records=records, depth=0
-    )
+    drafts = _build(w.vectors, dims, dims[0], needed, spec.alphas[1:], records=records, depth=0)
 
     leaf_tensors: dict[tuple[int, ...], Tensor] = {}
 
@@ -464,14 +421,13 @@ def _build(
     needed: int,
     rest_alphas: tuple[float, ...],
     *,
-    tol: float,
     records: list[TraceRecord],
     depth: int,
 ) -> list[_Draft]:
     if needed <= 0:
         return []
     if len(dims) == 1:
-        pairs = _eliminate(B, needed=needed, tol=tol)
+        pairs = _eliminate(B, needed=needed)
         return [_Draft(first=p, children=[], vector=v) for p, v in pairs]
 
     n1, n2 = dims[0], dims[1]
@@ -528,7 +484,6 @@ def _build(
             free1 * n2,
             demand,
             rest_alphas[1:],
-            tol=tol,
             records=records,
             depth=depth + 1,
         )
@@ -625,18 +580,6 @@ def verify_echelon(t: EchelonTree, tolerance: float = 1e-9) -> VerifyReport:
         for j in np.flatnonzero(worst > tolerance):
             violations.append(Violation("nonzero before pivot", node.index, order[j].index, float(worst[j])))
     return VerifyReport(ok=not violations, violations=tuple(violations))
-
-
-def branching_counts(t: EchelonTree) -> dict[int, int]:
-    """Minimum child count per level (level k counts children of level-(k-1) nodes)."""
-    counts: dict[int, int] = {}
-    nodes = [(0, TreeNode((), t.tree.children))] + [
-        (n.level, n) for n in t.tree.nodes_postorder() if not n.is_leaf()
-    ]
-    for level, node in nodes:
-        k = level + 1
-        counts[k] = min(counts.get(k, len(node.children)), len(node.children))
-    return counts
 
 
 def largeness(t: EchelonTree) -> float:
@@ -752,7 +695,7 @@ def certify_distance(
     for idx, tensor in cur.leaf_tensors.items():
         val = abs(float(np.dot(tensor.data, chi0)))
         origin = cur.origin_of(idx) if cur.origins is not None else idx
-        nf = norm(base.leaf_tensors[origin], "frobenius")
+        nf = float(np.linalg.norm(base.leaf_tensors[origin].data))
         if nf > 0.0:
             best = max(best, val / nf)
     return best

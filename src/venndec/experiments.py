@@ -32,7 +32,7 @@ from scipy.linalg import svdvals
 
 from .assemblies import AssemblyParams, AssociationGraph, soft_realize, verify_representation
 from .echelon import BranchingSpec, SubspaceBasis, build_echelon_tree, certify_distance, orthogonal_complement, verify_echelon
-from .perturb import MembershipMatrix, model_from_json_dict, model_to_json_dict, nondet_params, perturb_memberships
+from .perturb import MembershipMatrix, model_from_json_dict, nondet_params, perturb_memberships
 from .rng import generator, spawn_seed
 from .venn import VennDiagram, add_measurement_noise, diagram_diff, intersection_tensor, reconstruct
 

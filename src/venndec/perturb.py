@@ -118,10 +118,6 @@ class MembershipMatrix:
     def m(self) -> int:
         return int(self.X.shape[1])
 
-    @property
-    def blocks(self) -> int:
-        return int(self.X.shape[0] // self.n)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "columns": self.X.T.tolist()}
 

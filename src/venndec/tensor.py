@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "ModePartition",
     "outer",
-    "multilinear_eval",
-    "partial_apply",
     "group",
     "extract_subtensor",
     "split_coordinates",
-    "norm",
 ]
 
 
@@ -54,9 +50,6 @@ class Tensor:
     def order(self) -> int:
         return self.data.ndim
 
-    def entry(self, index: Sequence[int]) -> float:
-        return float(self.data[tuple(index)])
-
     def to_json_dict(self) -> dict:
         return {"dims": list(self.dims), "entries": self.data.ravel().tolist()}
 
@@ -74,38 +67,6 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
-@dataclass(frozen=True)
-class ModePartition:
-    """Ordered partition of tensor modes into contiguous runs."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(tuple(int(m) for m in g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        flat = [m for g in groups for m in g]
-        if not flat:
-            raise ValueError("partition must be nonempty")
-        if flat != list(range(len(flat))):
-            raise ValueError(
-                f"groups must be contiguous runs covering all modes in order, got {groups}"
-            )
-        if any(len(g) == 0 for g in groups):
-            raise ValueError("empty group in mode partition")
-
-    @classmethod
-    def from_sizes(cls, sizes: Iterable[int]) -> "ModePartition":
-        groups = []
-        start = 0
-        for s in sizes:
-            groups.append(tuple(range(start, start + s)))
-            start += s
-        return cls(tuple(groups))
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
 def outer(vectors: Sequence[np.ndarray]) -> Tensor:
     """Rank-one tensor v1 (x) v2 (x) ... (x) vk."""
     if len(vectors) == 0:
@@ -119,54 +80,16 @@ def outer(vectors: Sequence[np.ndarray]) -> Tensor:
     return Tensor(np.atleast_1d(out))
 
 
-def multilinear_eval(t: Tensor, vectors: Sequence[np.ndarray]) -> float:
-    """Full contraction T(v1, ..., vk), one vector per mode."""
-    if len(vectors) != t.order:
-        raise ValueError(f"need {t.order} vectors, got {len(vectors)}")
-    cur = t.data
-    for k, v in enumerate(vectors):
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != t.dims[k]:
-            raise ValueError(f"vector for mode {k} has length {v.size}, expected {t.dims[k]}")
-        cur = np.tensordot(cur, v, axes=([0], [0]))
-    return float(cur)
-
-
-def partial_apply(t: Tensor, assignments: Mapping[int, np.ndarray]) -> Tensor:
-    """Contract the assigned modes, leaving the rest in order.
-
-    ``assignments`` maps 0-based mode -> vector.  Assigning every mode is
-    rejected (use :func:`multilinear_eval` for the scalar case).
-    """
-    modes = sorted(int(m) for m in assignments)
-    if len(set(modes)) != len(modes):
-        raise ValueError("duplicate mode in assignments")
-    if any(m < 0 or m >= t.order for m in modes):
-        raise ValueError(f"mode out of range for order-{t.order} tensor: {modes}")
-    if len(modes) >= t.order:
-        raise ValueError("partial_apply must leave at least one free mode")
-    cur = t.data
-    for m in reversed(modes):  # descending keeps earlier axes stable
-        v = np.asarray(assignments[m], dtype=float).ravel()
-        if v.size != t.dims[m]:
-            raise ValueError(f"vector for mode {m} has length {v.size}, expected {t.dims[m]}")
-        cur = np.tensordot(cur, v, axes=([m], [0]))
-    return Tensor(cur)
-
-
-def group(t: Tensor, partition: ModePartition) -> Tensor:
-    """Fuse each contiguous run of modes into a single mode.
+def group(t: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Fuse consecutive runs of modes, ``sizes[k]`` modes into block k.
 
     Row-major index fusion: a fused index is i*n2 + j for original pair
     (i, j), matching the flat layout bit for bit.
     """
-    flat = [m for g in partition.groups for m in g]
-    if flat != list(range(t.order)):
-        raise ValueError(
-            f"partition covers modes {flat}, tensor has order {t.order}"
-        )
-    new_dims = [int(np.prod([t.dims[m] for m in g])) for g in partition.groups]
-    return Tensor(t.data.reshape(new_dims))
+    if any(s < 1 for s in sizes) or sum(sizes) != t.order:
+        raise ValueError(f"block sizes {tuple(sizes)} do not split the {t.order} modes")
+    ends = np.cumsum(sizes)
+    return Tensor(t.data.reshape([math.prod(t.dims[e - s : e]) for s, e in zip(sizes, ends)]))
 
 
 def extract_subtensor(t: Tensor, index_sets: Sequence[Sequence[int]]) -> Tensor:
@@ -201,11 +124,3 @@ def split_coordinates(n: int, ell: int) -> list[list[int]]:
         blocks.append(list(range(start, start + size)))
         start += size
     return blocks
-
-
-def norm(t: Tensor, kind: str = "frobenius") -> float:
-    if kind == "frobenius":
-        return float(np.linalg.norm(t.data.ravel()))
-    if kind == "max_abs":
-        return float(np.max(np.abs(t.data)))
-    raise ValueError(f"unknown norm kind {kind!r}")

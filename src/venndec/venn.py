@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .decomp import recover_rank_one_terms
+from .decomp import max_terms, recover_rank_one_terms
 from .rng import generator
 from .tensor import Tensor, extract_subtensor, split_coordinates
 
@@ -40,6 +40,9 @@ __all__ = [
 
 _EINSUM_LETTERS = "abcdefghijkl"
 _WEIGHT_DROP = 1e-10
+# singular values of the mode-1 unfolding above this fraction of the largest
+# count as regions
+_RANK_RTOL = 1e-6
 # eigenvalues of the pattern Gram below this fraction of the largest are
 # treated as zero; the Gram of 0/1 patterns is an exact integer matrix, so
 # its null directions show up at roundoff level, far below this cutoff
@@ -89,9 +92,6 @@ class VennDiagram:
     @property
     def m(self) -> int:
         return len(self.regions)
-
-    def total_weight(self) -> float:
-        return sum(r.weight for r in self.regions)
 
     def columns(self) -> np.ndarray:
         """Membership matrix with one column per region, shape (n, m)."""
@@ -222,15 +222,15 @@ def add_measurement_noise(t: MeasurementTensor, eps: float, seed: int = 0) -> Me
     return MeasurementTensor(Tensor(t.tensor.data + sym), epsilon_inf=t.epsilon_inf + eps)
 
 
-def rank_detect(t: Tensor, m_max: int, tol: float = 1e-6) -> int:
-    """Count singular values of the mode-1 unfolding above tol * sigma_max."""
+def rank_detect(t: Tensor, m_max: int) -> int:
+    """Count singular values of the mode-1 unfolding above 1e-6 * sigma_max, at most m_max."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     unf = t.data.reshape(t.dims[0], -1)
     s = np.linalg.svd(unf, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return min(int(np.sum(s > tol * s[0])), m_max)
+    return min(int(np.sum(s > _RANK_RTOL * s[0])), m_max)
 
 
 def _normalize_estimate(v: np.ndarray) -> np.ndarray:
@@ -275,7 +275,6 @@ def reconstruct(
     m_max: int | None = None,
     seed: int = 0,
     tol: float = 1e-3,
-    rank_tol: float = 1e-6,
 ) -> VennDiagram:
     """Recover a diagram from its (possibly noisy) intersection tensor.
 
@@ -287,9 +286,14 @@ def reconstruct(
     duplicate patterns.
 
     When the detected region count exceeds what the part-sized subtensor can
-    carry (the diagonalization needs linearly independent part-restricted
-    factors) the decomposition falls back to the full tensor, where each
-    coordinate is estimated ell times and averaged.
+    carry (``max_terms`` of its dims: the diagonalization needs linearly
+    independent part-restricted factors) the decomposition falls back to the
+    full tensor, where each coordinate is estimated ell times and averaged.
+    The full route always has room: the count comes from an n-row unfolding,
+    so it is at most n, and ``max_terms`` of the full dims is at least n.
+
+    Without ``m_max`` the cap defaults to floor((n/ell)^((ell-1)//2) / 2);
+    a default of 0 (small n) is refused.
 
     Raises on rounding ambiguity: any averaged coordinate within tol of the
     0.5 threshold is refused rather than silently rounded.
@@ -300,24 +304,16 @@ def reconstruct(
     n = t_obs.n
     if m_max is None:
         m_max = _default_m_max(n, ell)
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        if m_max < 1:
+            raise ValueError(f"default m_max is {m_max} at n={n}, ell={ell}; pass m_max (--m-max)")
 
     full = t_obs.tensor
-    m = rank_detect(full, m_max, tol=rank_tol)
+    m = rank_detect(full, m_max)
     if m == 0:
         return VennDiagram(n, ())
 
     parts = split_coordinates(n, ell)
-    sizes = [len(p) for p in parts]
-    g1 = ell // 2
-    g2 = ell - 1 - g1
-    split_capacity = min(math.prod(sizes[:g1]), math.prod(sizes[g1 : g1 + g2]))
-    full_capacity = min(n ** g1, n ** g2)
-
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    if m <= split_capacity:
+    if m <= max_terms(tuple(len(p) for p in parts)):
         sub = extract_subtensor(full, parts)
         result = recover_rank_one_terms(sub, m, seed=seed)
         estimates = []
@@ -326,7 +322,7 @@ def reconstruct(
             for k, part in enumerate(parts):
                 est[list(part)] = _normalize_estimate(term.factors[k])
             estimates.append(est)
-    elif m <= full_capacity:
+    else:
         result = recover_rank_one_terms(full, m, seed=seed)
         estimates = []
         for term in result.terms:
@@ -334,11 +330,6 @@ def reconstruct(
             for k in range(ell):
                 acc += _normalize_estimate(term.factors[k])
             estimates.append(acc / ell)
-    else:
-        raise ValueError(
-            f"detected {m} regions but the decomposition supports at most "
-            f"{full_capacity} at n={n}, ell={ell}"
-        )
 
     patterns: list[tuple[int, ...]] = []
     for est in estimates:

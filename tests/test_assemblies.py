@@ -31,8 +31,8 @@ def test_cycle_graph():
     g = AssociationGraph.cycle(5)
     assert g.n_vertices == 5
     assert len(g.edges) == 5
-    assert all(g.degree(v) == 2 for v in range(5))
     assert g.max_degree() == 2
+    assert sorted(v for e in g.edges for v in e) == sorted(list(range(5)) * 2)
     with pytest.raises(ValueError):
         AssociationGraph.cycle(2)
 
@@ -40,7 +40,6 @@ def test_cycle_graph():
 def test_edge_queries():
     g = AssociationGraph.from_edges(4, [(0, 1), (2, 3)])
     assert g.sorted_edges() == [(0, 1), (2, 3)]
-    assert g.non_edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert g.max_degree() == 1
 
 
@@ -125,13 +124,10 @@ def test_verify_checks_family_shape():
         verify_representation(g, AssemblyFamily(100, (np.arange(5),)), p)
 
 
-def test_family_json_roundtrip_one_based():
-    fam = AssemblyFamily(10, (np.array([0, 3, 9]), np.array([], dtype=np.int64)))
-    obj = fam.to_json_dict()
-    assert obj["sets"][0] == [1, 4, 10]
-    back = AssemblyFamily.from_json_dict(obj)
-    for a, b in zip(fam.sets, back.sets):
-        np.testing.assert_array_equal(a, b)
+def test_family_validation():
+    fam = AssemblyFamily(10, (np.array([9, 0, 3]), np.array([], dtype=np.int64)))
+    assert fam.sizes() == [3, 0]
+    np.testing.assert_array_equal(fam.sets[0], [0, 3, 9])
     with pytest.raises(ValueError, match="duplicate"):
         AssemblyFamily(10, (np.array([1, 1, 2]),))
     with pytest.raises(ValueError, match="outside"):
@@ -148,8 +144,6 @@ def test_instruction_validation():
         Instruction("sample", ("universe", 1.5), "s")
     with pytest.raises(ValueError, match="two set names"):
         Instruction("union", ("a",), "c")
-    ins = Instruction("sample", ("universe", 0.5), "s")
-    assert Instruction.from_json_dict(ins.to_json_dict()) == ins
 
 
 def test_soft_build_set_semantics():

@@ -143,3 +143,25 @@ def test_error_exit_codes(tmp_path):
 
     r = run_cli("echelon", "build")  # missing --config
     assert r.returncode == 1
+
+    # malformed input is a contract error, never a traceback
+    for args, field in (
+        (("reconstruct", "--input", '{"dims": [2, 2, 2]}'), "entries"),
+        (("diff", '{"n": 2}', '{"n": 2, "regions": []}'), "regions"),
+        (("echelon", "build", "--config", '{"alphas": [0.5]}'), "dims"),
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 1, args
+        assert r.stderr == f"error: missing field '{field}'\n", r.stderr
+    r = run_cli("reconstruct", "--input", '{"dims": 2, "entries": [0, 0]}')  # wrong type
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+    # with no --m-max the default cap is 0 at n=5, ell=3; the error names it
+    tensor = tmp_path / "t5.json"
+    diagram = '{"n": 5, "regions": [{"chi": [1, 1, 1, 1, 1], "w": 1.0}]}'
+    r = run_cli("tensorize", "--input", diagram, "--ell", "3", "--out", str(tensor))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("reconstruct", "--input", str(tensor))
+    assert r.returncode == 1
+    assert r.stderr == "error: default m_max is 0 at n=5, ell=3; pass m_max (--m-max)\n"

@@ -5,15 +5,16 @@ import pytest
 
 from venndec.decomp import (
     _als_refit,
+    _group_for_jennrich,
     condition_report,
     factor_rank_one,
-    group_for_jennrich,
     jennrich,
     leave_one_out_distances,
+    max_terms,
     recover_rank_one_terms,
 )
 from venndec.rng import generator
-from venndec.tensor import ModePartition, Tensor, outer
+from venndec.tensor import Tensor, outer
 
 
 def random_terms(rng, dims, m):
@@ -186,38 +187,34 @@ def test_als_refit_rank_deficient_khatri_rao_matches_lstsq():
 
 def test_group_halves_order3_is_identity():
     t = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    gt, part = group_for_jennrich(t)
+    gt, sizes = _group_for_jennrich(t)
     assert gt.dims == (2, 3, 4)
-    assert part.groups == ((0,), (1,), (2,))
+    assert sizes == (1, 1, 1)
     np.testing.assert_array_equal(gt.data, t.data)
 
 
 def test_group_halves_order5():
     t = Tensor(np.zeros((2, 3, 4, 5, 6)))
-    gt, part = group_for_jennrich(t)
-    assert part.groups == ((0, 1), (2, 3), (4,))
+    gt, sizes = _group_for_jennrich(t)
+    assert sizes == (2, 2, 1)
     assert gt.dims == (6, 20, 6)
-
-
-def test_group_thirds_order6():
-    t = Tensor(np.zeros((2,) * 6))
-    gt, part = group_for_jennrich(t, scheme="thirds")
-    assert part.groups == ((0, 1), (2, 3), (4, 5))
-    assert gt.dims == (4, 4, 4)
-
-
-def test_group_explicit_partition_overrides_scheme():
-    t = Tensor(np.zeros((2, 3, 4, 5)))
-    gt, part = group_for_jennrich(t, partition=ModePartition.from_sizes((1, 2, 1)))
-    assert part.groups == ((0,), (1, 2), (3,))
-    assert gt.dims == (2, 12, 5)
 
 
 def test_group_rejects_low_order_and_bad_scheme():
     with pytest.raises(ValueError, match="order"):
-        group_for_jennrich(Tensor(np.zeros((2, 2))))
-    with pytest.raises(ValueError, match="scheme"):
-        group_for_jennrich(Tensor(np.zeros((2, 2, 2))), scheme="quarters")
+        _group_for_jennrich(Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="order"):
+        max_terms((2, 2))
+    # halves is the only grouping: no scheme can be asked for
+    with pytest.raises(TypeError, match="scheme"):
+        recover_rank_one_terms(Tensor(np.zeros((2, 2, 2, 2))), 1, scheme="thirds")
+
+
+def test_max_terms_is_the_smaller_of_the_first_two_blocks():
+    assert max_terms((3, 3, 3, 3)) == 3  # blocks 3*3, 3, 3
+    assert max_terms((12,) * 4) == 12  # blocks 144, 12, 12
+    assert max_terms((30, 30, 30)) == 30
+    assert max_terms((6,) * 5) == 36  # blocks 36, 36, 6
 
 
 def test_recover_order4_roundtrip():

@@ -9,11 +9,9 @@ from venndec.echelon import (
     BranchingSpec,
     EchelonTree,
     SubspaceBasis,
-    branching_counts,
     build_echelon_tree,
     certify_distance,
     collapse,
-    eliminate_height1,
     largeness,
     orthogonal_complement,
     reduce_tree,
@@ -22,7 +20,7 @@ from venndec.echelon import (
     _eliminate,
 )
 from venndec.rng import generator
-from venndec.tensor import Tensor, multilinear_eval
+from venndec.tensor import Tensor
 
 
 def random_subspace(dims, dim, seed):
@@ -62,28 +60,20 @@ def test_orthogonal_complement_of_trivial_space():
     assert orthogonal_complement(v).dim == 4
 
 
-def test_subspace_json_roundtrip():
-    v = random_subspace((2, 2), 3, seed=2)
-    back = SubspaceBasis.from_json_dict(v.to_json_dict())
-    assert back.dims == v.dims
-    # spans agree even if the orthonormal basis is re-derived
-    assert np.allclose(back.vectors @ (back.vectors.T @ v.vectors), v.vectors, atol=1e-9)
-
-
 # --- height-1 elimination ---------------------------------------------------
 
 
 def test_eliminate_full_plane():
     w = SubspaceBasis.from_span(np.array([[2.0, 1.0], [0.0, 1.0]]), (2,))
-    pairs = eliminate_height1(w)
+    pairs = _eliminate(w.vectors, needed=2)
     assert [p for p, _ in pairs] == [0, 1]
     np.testing.assert_allclose(pairs[0][1], [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(pairs[1][1], [0.0, 1.0], atol=1e-12)
 
 
 def test_eliminate_respects_forbidden_pivots():
-    w = SubspaceBasis((3,), np.eye(3))
-    pairs = eliminate_height1(w, forbidden_pivots=[0])
+    B = _constrain_coords(np.eye(3), [0])
+    pairs = _eliminate(B, needed=B.shape[1])
     assert {p for p, _ in pairs} == {1, 2}
     for _, v in pairs:
         assert abs(v[0]) <= 1e-12
@@ -91,7 +81,7 @@ def test_eliminate_respects_forbidden_pivots():
 
 def test_eliminate_pivot_entry_is_one():
     w = random_subspace((6,), 4, seed=3)
-    pairs = eliminate_height1(w)
+    pairs = _eliminate(w.vectors, needed=4)
     assert len(pairs) == 4
     for p, v in pairs:
         assert v[p] == 1.0
@@ -103,9 +93,12 @@ def test_eliminate_pivot_entry_is_one():
 
 
 def test_eliminate_errors_on_empty_subspace():
-    w = SubspaceBasis((2,), np.eye(2))
+    B = _constrain_coords(np.eye(2), [0, 1])
+    assert B.shape == (2, 0)
+    with pytest.raises(ValueError, match="exhausted"):
+        _eliminate(B, needed=1)
     with pytest.raises(ValueError):
-        eliminate_height1(w, forbidden_pivots=[0, 1])
+        build_echelon_tree(SubspaceBasis((2,), B), BranchingSpec((0.5,)))
 
 
 # Reference elimination: greedy pivoting with one Householder reflection per
@@ -163,7 +156,7 @@ def test_eliminate_matches_reference_loop(seed):
     ref_B = _reference_constrain(w.vectors, forbidden) if forbidden else w.vectors
     assert B.shape == ref_B.shape
     np.testing.assert_allclose(B @ B.T, ref_B @ ref_B.T, rtol=0.0, atol=1e-12)
-    _assert_same_elimination(_eliminate(B, needed=None), _reference_eliminate(ref_B, None))
+    _assert_same_elimination(_eliminate(B, needed=B.shape[1]), _reference_eliminate(ref_B, None))
     needed = B.shape[1] // 2 + 1
     _assert_same_elimination(_eliminate(B, needed=needed), _reference_eliminate(ref_B, needed))
 
@@ -183,8 +176,9 @@ def test_constrain_rank_deficient_coordinates_matches_reference():
         assert B.shape == ref_B.shape
         np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(B @ B.T, ref_B @ ref_B.T, rtol=0.0, atol=1e-12)
-        _assert_same_elimination(_eliminate(B, needed=None), _reference_eliminate(ref_B, None))
-    pairs = eliminate_height1(w, forbidden_pivots=[0, 1, 2, 3])
+        _assert_same_elimination(_eliminate(B, needed=B.shape[1]), _reference_eliminate(ref_B, None))
+    B = _constrain_coords(w.vectors, [0, 1, 2, 3])
+    pairs = _eliminate(B, needed=B.shape[1])
     assert len(pairs) == 4
     for _, v in pairs:
         assert np.max(np.abs(v[:4])) <= 1e-12
@@ -206,7 +200,7 @@ def test_exact_tie_follows_geqp3_column_order():
     b[[0, 3], 1] = 2**-0.5
     b[[1, 4], 2] = 2**-0.5
     w = SubspaceBasis((5,), b)
-    assert [p for p, _ in eliminate_height1(w)] == [2, 1, 0]
+    assert [p for p, _ in _eliminate(w.vectors, needed=3)] == [2, 1, 0]
     tree, _ = build_echelon_tree(w, BranchingSpec((0.6,)))
     assert verify_echelon(tree).ok
     assert [n.index for n in tree.tree.nodes_postorder()] == [(2,), (1,), (0,)]
@@ -254,9 +248,11 @@ def test_build_meets_branching_quota():
     w = random_subspace(dims, 56, seed=5)  # (1 - 1/8) * 64
     tree, _ = build_echelon_tree(w, BranchingSpec(alphas))
     assert verify_echelon(tree, tolerance=1e-9).ok
-    counts = branching_counts(tree)
-    for level, count in counts.items():
-        assert count >= math.ceil(alphas[level - 1] * dims[level - 1])
+    # every node at level k - 1 (the root is level 0) has its quota of children
+    parents = [tree.tree.children] + [n.children for n in tree.tree.nodes_postorder() if n.children]
+    for children in parents:
+        k = children[0].level
+        assert len(children) >= math.ceil(alphas[k - 1] * dims[k - 1])
     # leaf tensors live in W
     p = w.vectors @ w.vectors.T
     for t in tree.leaf_tensors.values():
@@ -268,7 +264,7 @@ def test_build_pivots_and_norms_exact():
     w = random_subspace((3, 3), 7, seed=6)
     tree, _ = build_echelon_tree(w, BranchingSpec((0.5, 0.5)))
     for idx, t in tree.leaf_tensors.items():
-        assert t.entry(idx) == 1.0
+        assert t.data[idx] == 1.0
         assert np.max(np.abs(t.data)) == 1.0
 
 
@@ -466,7 +462,7 @@ def test_successive_reduce_matches_multilinear_eval():
     for idx, t in red.leaf_tensors.items():
         origin = red.origin_of(idx)
         val = float(t.data @ chis[0])
-        direct = multilinear_eval(tree.leaf_tensors[origin], chis)
+        direct = float(np.einsum("ijk,i,j,k->", tree.leaf_tensors[origin].data, *chis))
         assert val == pytest.approx(direct, abs=1e-12)
 
 

@@ -73,7 +73,6 @@ def test_membership_matrix_shape_contract():
         MembershipMatrix(np.ones((7, 3)), 4)  # rows not a multiple of n
     x = MembershipMatrix(np.ones((8, 3)), 4)
     assert x.m == 3
-    assert x.blocks == 2
 
 
 def test_membership_json_roundtrip():

@@ -4,14 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from venndec.tensor import (
-    ModePartition,
     Tensor,
     extract_subtensor,
     group,
-    multilinear_eval,
-    norm,
     outer,
-    partial_apply,
     split_coordinates,
 )
 
@@ -21,49 +17,10 @@ def test_outer_hand_example():
     np.testing.assert_array_equal(t.data, [[1.0, -1.0], [1.0, -1.0]])
 
 
-def test_multilinear_on_identity():
-    # sum_ij I_ij x_i y_j = x . y = 1*3 + 2*4 = 11
-    t = Tensor(np.eye(2))
-    assert multilinear_eval(t, [np.array([1.0, 2.0]), np.array([3.0, 4.0])]) == 11.0
-
-
-def test_multilinear_hand_example():
-    t = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    val = multilinear_eval(t, [np.array([1.0, 1.0]), np.array([1.0, 2.0])])
-    assert val == 16.0  # 1+4+3+8
-
-
-def test_multilinear_requires_matching_arity():
-    t = Tensor(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        multilinear_eval(t, [np.array([1.0, 0.0])])
-
-
-def test_partial_apply_single_mode():
-    rng = np.random.default_rng(0)
-    data = rng.standard_normal((3, 4, 5))
-    x = rng.standard_normal(5)
-    out = partial_apply(Tensor(data), {2: x})
-    assert out.dims == (3, 4)
-    np.testing.assert_allclose(out.data, data @ x)
-
-
-def test_partial_apply_composes_to_multilinear():
-    rng = np.random.default_rng(1)
-    data = rng.standard_normal((3, 4, 5))
-    xs = [rng.standard_normal(d) for d in (3, 4, 5)]
-    partial = partial_apply(Tensor(data), {0: xs[0], 2: xs[2]})
-    assert partial.dims == (4,)
-    np.testing.assert_allclose(
-        float(partial.data @ xs[1]), multilinear_eval(Tensor(data), xs)
-    )
-
-
 def test_group_is_pure_reshape():
     rng = np.random.default_rng(2)
     data = rng.standard_normal((2, 3, 4))
-    part = ModePartition.from_sizes((2, 1))
-    g = group(Tensor(data), part)
+    g = group(Tensor(data), (2, 1))
     assert g.dims == (6, 4)
     np.testing.assert_array_equal(g.data, data.reshape(6, 4))
 
@@ -71,17 +28,18 @@ def test_group_is_pure_reshape():
 def test_group_entry_addressing():
     # fused index iterates the second original mode fastest (row-major)
     data = np.arange(24.0).reshape(2, 3, 4)
-    g = group(Tensor(data), ModePartition.from_sizes((2, 1)))
+    g = group(Tensor(data), (2, 1))
     for i in range(2):
         for j in range(3):
             np.testing.assert_array_equal(g.data[i * 3 + j], data[i, j])
 
 
 def test_mode_partition_validation():
-    with pytest.raises(ValueError):
-        ModePartition(((0, 2), (1,)))  # not contiguous
-    with pytest.raises(ValueError):
-        ModePartition.from_sizes((0, 2))
+    # block sizes must be positive and cover the modes exactly
+    t = Tensor(np.zeros((2, 3, 4)))
+    for sizes in ((0, 3), (1, 1), (2, 2), (-1, 4)):
+        with pytest.raises(ValueError, match="block sizes"):
+            group(t, sizes)
 
 
 def test_extract_subtensor_matches_ix():
@@ -112,15 +70,6 @@ def test_split_coordinates_partitions(n, ell):
     assert sizes == sorted(sizes, reverse=True)
 
 
-def test_norm_of_all_ones():
-    ell, n = 3, 4
-    t = outer([np.ones(n)] * ell)
-    assert norm(t, "frobenius") == pytest.approx(n ** (ell / 2))
-    assert norm(t, "max_abs") == 1.0
-    with pytest.raises(ValueError):
-        norm(t, "spectral")
-
-
 def test_tensor_json_roundtrip():
     rng = np.random.default_rng(4)
     t = Tensor(rng.standard_normal((2, 3, 2)))
@@ -139,5 +88,5 @@ def test_group_preserves_frobenius_norm(seed):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((2, 2, 3))
     t = Tensor(data)
-    g = group(t, ModePartition.from_sizes((1, 2)))
-    assert norm(g) == pytest.approx(norm(t))
+    g = group(t, (1, 2))
+    assert np.linalg.norm(g.data) == pytest.approx(np.linalg.norm(t.data))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from venndec import venn
 from venndec.rng import generator
 from venndec.tensor import Tensor
 from venndec.venn import (
@@ -169,6 +170,24 @@ def test_reconstruct_full_route_roundtrip():
     assert d.exact_match, d.to_json_dict()
 
 
+def test_reconstruct_route_switches_above_split_capacity(monkeypatch):
+    # n=12, ell=4: four parts of 3 coordinates, so the split subtensor is
+    # 3x3x3x3 and carries max_terms((3, 3, 3, 3)) == 3 regions
+    calls = []
+    extract = venn.extract_subtensor
+    monkeypatch.setattr(venn, "extract_subtensor", lambda *a: calls.append(a) or extract(*a))
+    # region r holds coordinate (r + k) mod 3 of part k; the fourth fills two of three
+    patterns = [tuple(int(i % 3 == (r + i // 3) % 3) for i in range(12)) for r in range(3)]
+    patterns.append((1, 1, 0) * 4)
+    for m, split_calls in ((3, 1), (4, 0)):
+        v = VennDiagram(12, tuple(Region(p, 1.0 + r) for r, p in enumerate(patterns[:m])))
+        calls.clear()
+        got = reconstruct(intersection_tensor(v, 4), m_max=m)
+        assert len(calls) == split_calls
+        d = diagram_diff(v, got)
+        assert d.exact_match, d.to_json_dict()
+
+
 def test_reconstruct_rejects_rounding_ambiguity():
     chi = np.array([1.0, 0.5, 1.0, 1.0])
     data = 2.0 * np.einsum("i,j,k->ijk", chi, chi, chi)
@@ -182,6 +201,8 @@ def test_reconstruct_rejects_low_order_and_bad_m_max():
         reconstruct(intersection_tensor(v, 2))
     with pytest.raises(ValueError, match="m_max"):
         reconstruct(intersection_tensor(random_diagram(6, 2, seed=8), 3), m_max=0)
+    with pytest.raises(ValueError, match="default m_max is 0 at n=5, ell=3; pass m_max"):
+        reconstruct(intersection_tensor(random_diagram(5, 2, seed=8), 3))
 
 
 def test_reconstruct_noisy_weights_close():
