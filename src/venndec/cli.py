@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--diagram-kind",
         choices=("random", "adversarial"),
         default="random",
-        help="random 0/1 columns, or the all-ones worst case",
+        help="random 0/1 columns, or the all-ones worst case "
+        "(its m columns merge into one region of weight m)",
     )
     p.set_defaults(func=_cmd_gen)
 

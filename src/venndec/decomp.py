@@ -46,6 +46,10 @@ __all__ = [
 _EIG_GAP_TOL = 1e-8
 _MAX_PROBE_RETRIES = 5
 _RCOND = 1e-12
+# the ALS polish stops at the first round that cuts its residual by less than
+# this fraction: from a Jennrich start that is usually round 4 or 5, after
+# which the fit moves no estimate far enough to change a rounded 0/1 pattern
+_ALS_STALL = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +86,14 @@ class DecompositionResult:
     """Recovered terms plus residual diagnostics.
 
     ``max_residual`` is the worst per-term diagnostic; ``recon_residual`` is
-    the global misfit ||T - sum of terms||_F against the decomposed tensor.
+    the global misfit ||T - sum of terms||_F against the decomposed tensor;
+    ``polish_rounds`` is how many ALS rounds the polish ran.
     """
 
     terms: tuple[RankOneTerm, ...]
     max_residual: float
     recon_residual: float
+    polish_rounds: int
 
     @property
     def rank(self) -> int:
@@ -119,12 +125,17 @@ def _match_eigen(lam_a: np.ndarray, lam_b: np.ndarray) -> list[int]:
 
 def _als_refit(
     data: np.ndarray, A: np.ndarray, B: np.ndarray, max_rounds: int = 40
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Polish factor estimates by alternating least squares.
 
-    Keeps A and B unit-column, returns (A, B, C_scaled) where C_scaled has
-    one scaled third-mode factor per row.  Strips the eigenvector
-    perturbation left by the diagonalization step; stops once the fit stalls.
+    Keeps A and B unit-column, returns (A, B, C_scaled, rounds) where
+    C_scaled has one scaled third-mode factor per row and rounds is the
+    number of ALS rounds run.  Strips the eigenvector perturbation left by
+    the diagonalization step.  Stops at the first round that cuts the
+    residual by less than 10 % (``_ALS_STALL``), or after ``max_rounds``: a
+    good start stalls within a few rounds, a poor one keeps going while each
+    round still cuts the residual by more (though one flat round in an ALS
+    swamp stops it there too).
 
     Each update solves the normal equations of its least-squares problem:
     the unfolding times the Khatri-Rao product of the two fixed factors
@@ -150,7 +161,9 @@ def _als_refit(
     # the stall residual is taken directly: expanding it through the Grams
     # cancels catastrophically at the noise floor
     prev = float(np.linalg.norm(X3 - kr_ab @ C))
-    for _ in range(max_rounds):
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
         kr_bc = np.einsum("jr,kr->jkr", B, C.T).reshape(n2 * n3, -1)
         A = normalized(solve((B.T @ B) * (C @ C.T), (X1 @ kr_bc).T).T)
         kr_ac = np.einsum("ir,kr->ikr", A, C.T).reshape(n1 * n3, -1)
@@ -158,21 +171,32 @@ def _als_refit(
         kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
         C = solve((A.T @ A) * (B.T @ B), kr_ab.T @ X3)
         res = float(np.linalg.norm(X3 - kr_ab @ C))
-        if res >= prev * (1.0 - 1e-3):
+        if res >= prev * (1.0 - _ALS_STALL):
             break
         prev = res
-    return A, B, C
+    return A, B, C, rounds
+
+
+def _leading_subspace(gram: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal basis of the top-m eigenspace of a symmetric PSD Gram.
+
+    For gram = X X^T this is the top-m left singular subspace of X, found
+    without forming X's right singular vectors.
+    """
+    return np.linalg.eigh(gram)[1][:, : -m - 1 : -1]
 
 
 def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     """Decompose a third-order tensor into m rank-one terms.
 
-    Compresses the first two modes to rank m, draws Gaussian probe vectors for
+    Compresses the first two modes to rank m, onto the top-m eigenvectors of
+    the Gram U U^T of each mode's unfolding U, draws Gaussian probe vectors for
     the third mode, and diagonalizes M_x pinv(M_y); if eigenvalues collide
     (relative gap below 1e-8) the probes are redrawn, up to 5 times, before
     giving up with a ValueError.  The per-term residual is the relative
     mismatch between the eigenvalue recovered from the a-side and from the
-    b-side problem, which is zero in exact arithmetic.
+    b-side problem, which is zero in exact arithmetic.  The factors are then
+    polished by alternating least squares (``_als_refit``).
     """
     if t.order != 3:
         raise ValueError(f"simultaneous diagonalization needs an order-3 tensor, got order {t.order}")
@@ -184,11 +208,13 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     rng = generator(seed, "jennrich")
     # compress modes 1 and 2 onto their top-m singular subspaces so that the
     # pencil below is m x m; without this, noise directions of a full-rank
-    # slice blow up through the pseudoinverse
+    # slice blow up through the pseudoinverse.  The subspaces come from the
+    # n_i x n_i Grams: a thin SVD would also form the wide right singular
+    # vectors, which nothing here uses
     unf1 = t.data.reshape(n1, n2 * n3)
     unf2 = np.moveaxis(t.data, 1, 0).reshape(n2, n1 * n3)
-    u1 = np.linalg.svd(unf1, full_matrices=False)[0][:, :m]
-    u2 = np.linalg.svd(unf2, full_matrices=False)[0][:, :m]
+    u1 = _leading_subspace(unf1 @ unf1.T, m)
+    u2 = _leading_subspace(unf2 @ unf2.T, m)
     core = np.einsum("ia,jb,ijk->abk", u1, u2, t.data, optimize=True)
 
     last_gap = math.inf
@@ -222,7 +248,7 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
 
         A = np.column_stack(a_cols)
         B = np.column_stack(b_cols)
-        A, B, c_scaled = _als_refit(t.data, A, B)
+        A, B, c_scaled, rounds = _als_refit(t.data, A, B)
 
         terms = []
         for i in range(m):
@@ -237,7 +263,12 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
         terms.sort(key=lambda term: -abs(term.scale))
         approx = sum(term.tensor().data for term in terms)
         recon = float(np.linalg.norm(t.data - approx))
-        return DecompositionResult(tuple(terms), max_residual=max(residuals, default=0.0), recon_residual=recon)
+        return DecompositionResult(
+            tuple(terms),
+            max_residual=max(residuals, default=0.0),
+            recon_residual=recon,
+            polish_rounds=rounds,
+        )
 
     raise ValueError(
         f"eigenvalues kept colliding across {_MAX_PROBE_RETRIES} probe draws "
@@ -353,6 +384,7 @@ def recover_rank_one_terms(t: Tensor, m: int, seed: int = 0) -> DecompositionRes
         tuple(terms),
         max_residual=max((t_.residual for t_ in terms), default=0.0),
         recon_residual=recon,
+        polish_rounds=base.polish_rounds,
     )
 
 

@@ -43,6 +43,29 @@ def test_full_pipeline_roundtrip(tmp_path):
     assert json.loads(r.stdout)["exact_match"] is False
 
 
+def test_readme_pipeline(tmp_path):
+    # the end-to-end commands of README.md, run as written there
+    def cli(*args):
+        r = run_cli(*args)
+        assert r.returncode == 0, r.stdout + r.stderr
+        return r
+
+    def path(name):
+        return str(tmp_path / name)
+
+    cli("gen", "--n", "30", "--m", "6", "--diagram-kind", "random", "--out", path("base.json"))
+    cli(
+        "perturb", "--input", path("base.json"),
+        "--config", '{"model": "bitflip", "q": 0.2}',
+        "--seed", "3", "--out", path("perturbed.json"),
+    )
+    cli("tensorize", "--input", path("perturbed.json"), "--ell", "3", "--out", path("tensor.json"))
+    cli("reconstruct", "--input", path("tensor.json"), "--m-max", "6", "--out", path("recovered.json"))
+    assert json.loads(cli("diff", path("perturbed.json"), path("recovered.json")).stdout)["exact_match"]
+    assert len(json.loads((tmp_path / "recovered.json").read_text())["regions"]) == 6
+    assert json.loads(cli("decompose", "--input", path("tensor.json"), "--m", "6").stdout)["rank"] == 6
+
+
 def test_decompose_emits_terms(tmp_path):
     diagram = tmp_path / "d.json"
     tensor = tmp_path / "t.json"

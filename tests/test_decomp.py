@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
+from venndec import decomp
 from venndec.decomp import (
     _als_refit,
     _group_for_jennrich,
+    _leading_subspace,
     condition_report,
     factor_rank_one,
     jennrich,
@@ -13,8 +16,10 @@ from venndec.decomp import (
     max_terms,
     recover_rank_one_terms,
 )
+from venndec.perturb import BitFlip, MembershipMatrix, perturb_memberships
 from venndec.rng import generator
 from venndec.tensor import Tensor, outer
+from venndec.venn import VennDiagram, add_measurement_noise, intersection_tensor
 
 
 def random_terms(rng, dims, m):
@@ -133,9 +138,72 @@ def test_jennrich_rank_bounds():
         jennrich(Tensor(np.ones((3, 3))), 1)
 
 
+def test_jennrich_recovers_terms_across_four_decades_of_scale():
+    # the Gram compression squares the singular values of each unfolding:
+    # scales down to 1e-4 put their Gram eigenvalues at 1e-8, far above eps
+    n, m = 8, 6
+    for trial in range(20):
+        rng = generator(trial, "decades")
+        factors, signs, _ = random_terms(rng, (n, n, n), m)
+        scales = np.logspace(0, -4, m) * np.sign(signs)
+        data = sum(scales[j] * outer([f[:, j] for f in factors]).data for j in range(m))
+        result = jennrich(Tensor(data), m, seed=trial)
+        for j, term in match_terms(result, factors, scales):
+            truth = scales[j] * outer([f[:, j] for f in factors]).data
+            rel = np.linalg.norm(term.tensor().data - truth) / np.linalg.norm(truth)
+            assert rel <= 1e-6, f"trial {trial} term {j} (scale {scales[j]:.0e}): rel err {rel:.2e}"
+
+
+def test_gram_compression_spans_the_svd_subspace_on_a_roundtrip_tensor():
+    # criterion 07's trial shape: n=30, ell=3, m=20 columns, bit-flip q=0.2
+    n = 30
+    x = perturb_memberships(MembershipMatrix(np.ones((n, 20)), n), BitFlip(0.2), 7)
+    truth = VennDiagram.from_columns(x.X, merge_duplicates=True)
+    data = add_measurement_noise(intersection_tensor(truth, 3), 1e-8, seed=7).tensor.data
+    m = len(truth.regions)
+    for unf in (data.reshape(n, -1), np.moveaxis(data, 1, 0).reshape(n, -1)):
+        gram_basis = _leading_subspace(unf @ unf.T, m)
+        svd_basis = np.linalg.svd(unf, full_matrices=False)[0][:, :m]
+        np.testing.assert_allclose(gram_basis.T @ gram_basis, np.eye(m), atol=1e-12)
+        assert float(np.max(subspace_angles(gram_basis, svd_basis))) <= 1e-9
+
+
+def test_als_polish_stops_within_a_few_rounds_from_a_jennrich_start():
+    # well short of the 40-round cap: most stop after 4-5 rounds, the
+    # slowest of these 12 after 8
+    rounds = []
+    for seed in range(12):
+        rng = generator(seed, "polish-stop")
+        _, _, t = random_terms(rng, (30, 30, 30), 20)
+        noisy = Tensor(t.data + 1e-6 * rng.standard_normal(t.dims))
+        result = jennrich(noisy, 20, seed=seed)
+        assert result.recon_residual <= 1e-3
+        rounds.append(result.polish_rounds)
+    assert max(rounds) <= 10, rounds
+    assert np.median(rounds) <= 6, rounds
+
+
+def test_als_polish_keeps_going_from_a_poor_start():
+    # starts 0.3 off the true factors: each round still cuts the residual by
+    # far more than the stall fraction, so the polish runs on to the noise
+    # floor (about 3e-7 here) instead of stopping after a few rounds.  Seed 0
+    # stalls for one round at 0.64 (a 4 % cut) and stops there; seeds 9 and
+    # 16 creep and reach the 40-round cap above 1e-6
+    converged = 0
+    for seed in range(20):
+        rng = generator(seed, "poor")
+        factors, _, t = random_terms(rng, (10, 10, 10), 4)
+        data = t.data + 1e-8 * rng.standard_normal(t.dims)
+        A, B = (f + 0.3 * rng.standard_normal(f.shape) for f in factors[:2])
+        *fitted, rounds = _als_refit(data, A, B)
+        converged += rounds > 10 and fit_residual(data, *fitted) <= 1e-6
+    assert converged >= 17
+
+
 def als_refit_lstsq(data, A, B, max_rounds=40):
     """The ALS polish with each update as a tall least-squares solve, kept
-    as the reference for the Gram-form updates."""
+    as the reference for the Gram-form updates; it reads the same stall
+    fraction as the polish."""
     n1, n2, n3 = data.shape
 
     def normalized(M):
@@ -155,7 +223,7 @@ def als_refit_lstsq(data, A, B, max_rounds=40):
         kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
         C = np.linalg.lstsq(kr_ab, X3, rcond=1e-12)[0]
         res = float(np.linalg.norm(X3 - kr_ab @ C))
-        if res >= prev * (1.0 - 1e-3):
+        if res >= prev * (1.0 - decomp._ALS_STALL):
             break
         prev = res
     return A, B, C
@@ -176,7 +244,7 @@ def test_als_refit_rank_deficient_khatri_rao_matches_lstsq():
     A, B = (f[:, [0, 1, 1]] for f in start)
     assert np.linalg.matrix_rank(np.einsum("ir,jr->ijr", A, B).reshape(42, 3)) == 2
 
-    got = _als_refit(data, A, B)
+    *got, _ = _als_refit(data, A, B)
     want = als_refit_lstsq(data, A, B)
     assert all(np.all(np.isfinite(x)) for x in got)
     assert fit_residual(data, *got) == pytest.approx(fit_residual(data, *want), rel=1e-6)
@@ -225,6 +293,7 @@ def test_recover_order4_roundtrip():
     assert all(term.order == 4 for term in result.terms)
     assert result.recon_residual <= 1e-6 * np.linalg.norm(t.data)
     assert result.max_residual <= 1e-6
+    assert result.polish_rounds == jennrich(_group_for_jennrich(t)[0], 3, seed=2).polish_rounds
     for j, term in match_terms(result, factors, scales):
         truth = scales[j] * outer([f[:, j] for f in factors]).data
         rel = np.linalg.norm(term.tensor().data - truth) / np.linalg.norm(truth)
