@@ -15,7 +15,6 @@ from .tensor import (
     extract_subtensor,
     group,
     outer,
-    split_coordinates,
 )
 from .perturb import (
     BitFlip,
@@ -49,7 +48,6 @@ from .decomp import (
     factor_rank_one,
     jennrich,
     leave_one_out_distances,
-    max_terms,
     recover_rank_one_terms,
 )
 from .venn import (

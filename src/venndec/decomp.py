@@ -11,8 +11,6 @@ An order-ell tensor with ell > 3 is first grouped into three blocks by one
 rule, "halves": the first floor(ell/2) modes, the next ell-1-floor(ell/2)
 modes, and the last mode alone.  Each recovered grouped factor is then split
 back into its modes by rank-one factorization (``recover_rank_one_terms``).
-``max_terms`` is the largest term count that grouping accepts, the smaller of
-the first two block sizes; callers choosing what to decompose ask it.
 
 ``condition_report`` summarizes how well-posed such a decomposition is for a
 given factor matrix: its extreme singular values, the leave-one-out distances
@@ -36,7 +34,6 @@ __all__ = [
     "DecompositionResult",
     "ConditionReport",
     "jennrich",
-    "max_terms",
     "recover_rank_one_terms",
     "factor_rank_one",
     "condition_report",
@@ -201,9 +198,8 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     if t.order != 3:
         raise ValueError(f"simultaneous diagonalization needs an order-3 tensor, got order {t.order}")
     n1, n2, n3 = t.dims
-    cap = max_terms(t.dims)
-    if not 1 <= m <= cap:
-        raise ValueError(f"rank m={m} must lie in [1, min(n1, n2)] = [1, {cap}]")
+    if not 1 <= m <= min(n1, n2):
+        raise ValueError(f"rank m={m} must lie in [1, min(n1, n2)] = [1, {min(n1, n2)}]")
 
     rng = generator(seed, "jennrich")
     # compress modes 1 and 2 onto their top-m singular subspaces so that the
@@ -283,16 +279,6 @@ def _halves(ell: int) -> tuple[int, int, int]:
         raise ValueError(f"need an order >= 3 tensor, got order {ell}")
     g1 = ell // 2
     return g1, ell - 1 - g1, 1
-
-
-def max_terms(dims: tuple[int, ...]) -> int:
-    """Largest term count the decomposition accepts for a tensor of these dims.
-
-    Simultaneous diagonalization needs the grouped factors of the first two
-    blocks to be linearly independent, so m is at most the size of each.
-    """
-    g1, g2, _ = _halves(len(dims))
-    return min(math.prod(dims[:g1]), math.prod(dims[g1 : g1 + g2]))
 
 
 def _group_for_jennrich(t: Tensor) -> tuple[Tensor, tuple[int, int, int]]:

@@ -21,7 +21,6 @@ __all__ = [
     "outer",
     "group",
     "extract_subtensor",
-    "split_coordinates",
 ]
 
 
@@ -108,19 +107,3 @@ def extract_subtensor(t: Tensor, index_sets: Sequence[Sequence[int]]) -> Tensor:
         sets.append(idx)
     return Tensor(t.data[np.ix_(*sets)])
 
-
-def split_coordinates(n: int, ell: int) -> list[list[int]]:
-    """Split [0, n) into ell contiguous blocks, sizes differing by at most 1.
-
-    Larger blocks come first: split_coordinates(10, 3) -> [0..3], [4..6], [7..9].
-    """
-    if ell < 1 or n < ell:
-        raise ValueError(f"need 1 <= ell <= n, got n={n}, ell={ell}")
-    base, extra = divmod(n, ell)
-    blocks = []
-    start = 0
-    for k in range(ell):
-        size = base + (1 if k < extra else 0)
-        blocks.append(list(range(start, start + size)))
-        start += size
-    return blocks

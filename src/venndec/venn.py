@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .decomp import max_terms, recover_rank_one_terms
+from .decomp import recover_rank_one_terms
 from .rng import generator
-from .tensor import Tensor, extract_subtensor, split_coordinates
+from .tensor import Tensor
 
 __all__ = [
     "Region",
@@ -278,19 +278,15 @@ def reconstruct(
 ) -> VennDiagram:
     """Recover a diagram from its (possibly noisy) intersection tensor.
 
-    Pipeline: detect the region count from the mode-1 unfolding, split the
-    coordinates into ell contiguous parts and decompose the asymmetric
-    subtensor over them, rescale each recovered factor so its largest entry
-    is 1, round coordinates to {0,1} at threshold 0.5, then refit weights by
-    nonnegative least squares against the full observed tensor and merge
-    duplicate patterns.
+    Pipeline: detect the region count m from the mode-1 unfolding, recover m
+    rank-one terms of the full tensor (``recover_rank_one_terms``), rescale
+    each of a term's ell factors so its largest entry is 1 and average them
+    into one estimate per coordinate, round at threshold 0.5, then refit
+    weights by nonnegative least squares against the observed tensor and
+    merge duplicate patterns.
 
-    When the detected region count exceeds what the part-sized subtensor can
-    carry (``max_terms`` of its dims: the diagonalization needs linearly
-    independent part-restricted factors) the decomposition falls back to the
-    full tensor, where each coordinate is estimated ell times and averaged.
-    The full route always has room: the count comes from an n-row unfolding,
-    so it is at most n, and ``max_terms`` of the full dims is at least n.
+    The region count is the rank of the n-row mode-1 unfolding, so it is at
+    most n: a diagram with more than n regions is not recovered yet.
 
     Without ``m_max`` the cap defaults to floor((n/ell)^((ell-1)//2) / 2);
     a default of 0 (small n) is refused.
@@ -307,32 +303,15 @@ def reconstruct(
         if m_max < 1:
             raise ValueError(f"default m_max is {m_max} at n={n}, ell={ell}; pass m_max (--m-max)")
 
-    full = t_obs.tensor
-    m = rank_detect(full, m_max)
+    t = t_obs.tensor
+    m = rank_detect(t, m_max)
     if m == 0:
         return VennDiagram(n, ())
 
-    parts = split_coordinates(n, ell)
-    if m <= max_terms(tuple(len(p) for p in parts)):
-        sub = extract_subtensor(full, parts)
-        result = recover_rank_one_terms(sub, m, seed=seed)
-        estimates = []
-        for term in result.terms:
-            est = np.empty(n)
-            for k, part in enumerate(parts):
-                est[list(part)] = _normalize_estimate(term.factors[k])
-            estimates.append(est)
-    else:
-        result = recover_rank_one_terms(full, m, seed=seed)
-        estimates = []
-        for term in result.terms:
-            acc = np.zeros(n)
-            for k in range(ell):
-                acc += _normalize_estimate(term.factors[k])
-            estimates.append(acc / ell)
-
+    result = recover_rank_one_terms(t, m, seed=seed)
     patterns: list[tuple[int, ...]] = []
-    for est in estimates:
+    for term in result.terms:
+        est = sum(_normalize_estimate(f) for f in term.factors) / ell
         off = np.abs(est - 0.5)
         if np.any(off <= tol):
             bad = np.nonzero(off <= tol)[0]
@@ -344,7 +323,7 @@ def reconstruct(
     unique = sorted(set(p for p in patterns if any(p)))
     if not unique:
         return VennDiagram(n, ())
-    w = _refit_weights(full.data, np.array(unique, dtype=float).T)
+    w = _refit_weights(t.data, np.array(unique, dtype=float).T)
     regions = tuple(
         Region(p, float(wi)) for p, wi in zip(unique, w) if wi > _WEIGHT_DROP
     )

@@ -13,7 +13,6 @@ from venndec.decomp import (
     factor_rank_one,
     jennrich,
     leave_one_out_distances,
-    max_terms,
     recover_rank_one_terms,
 )
 from venndec.perturb import BitFlip, MembershipMatrix, perturb_memberships
@@ -271,18 +270,17 @@ def test_group_halves_order5():
 def test_group_rejects_low_order_and_bad_scheme():
     with pytest.raises(ValueError, match="order"):
         _group_for_jennrich(Tensor(np.zeros((2, 2))))
-    with pytest.raises(ValueError, match="order"):
-        max_terms((2, 2))
     # halves is the only grouping: no scheme can be asked for
     with pytest.raises(TypeError, match="scheme"):
         recover_rank_one_terms(Tensor(np.zeros((2, 2, 2, 2))), 1, scheme="thirds")
 
 
-def test_max_terms_is_the_smaller_of_the_first_two_blocks():
-    assert max_terms((3, 3, 3, 3)) == 3  # blocks 3*3, 3, 3
-    assert max_terms((12,) * 4) == 12  # blocks 144, 12, 12
-    assert max_terms((30, 30, 30)) == 30
-    assert max_terms((6,) * 5) == 36  # blocks 36, 36, 6
+def test_recover_rejects_more_terms_than_the_grouped_blocks_hold():
+    # halves grouping: (3,)*4 -> 9 x 3 x 3 holds 3 terms, (6,)*5 -> 36 x 36 x 6 holds 36
+    with pytest.raises(ValueError, match=r"\[1, 3\]"):
+        recover_rank_one_terms(Tensor(np.zeros((3,) * 4)), 4)
+    with pytest.raises(ValueError, match=r"\[1, 36\]"):
+        recover_rank_one_terms(Tensor(np.zeros((6,) * 5)), 37)
 
 
 def test_recover_order4_roundtrip():

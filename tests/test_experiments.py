@@ -90,6 +90,19 @@ def test_roundtrip_experiment_small():
         assert rec["statistic"] <= 1e-8
 
 
+@pytest.mark.parametrize("n, ell, m, trials, seed", [(18, 3, 4, 20, 3), (24, 4, 5, 10, 4)])
+def test_roundtrip_experiment_fair_flips_all_exact(n, ell, m, trials, seed):
+    # few regions over many sets: restricted to ell coordinate blocks, these
+    # fair-flip patterns are often dependent or repeated, but the whole
+    # tensor recovers every diagram
+    cfg = ExperimentConfig(
+        kind="roundtrip", trials=trials, seed=seed, n=n, ell=ell, m=m, model=BITFLIP_HALF, eps=1e-8
+    )
+    report = run_roundtrip_experiment(cfg)
+    assert report.summary["failures"] == 0, [r for r in report.records if r["failure"]]
+    assert all(r["exact_match"] for r in report.records)
+
+
 def test_roundtrip_experiment_counts_errors_as_failures():
     # m_max=1 cannot carry the ~2 regions a fair flip creates, but the runner
     # must keep going and record the failure rather than crash

@@ -8,7 +8,6 @@ from venndec.tensor import (
     extract_subtensor,
     group,
     outer,
-    split_coordinates,
 )
 
 
@@ -49,25 +48,6 @@ def test_extract_subtensor_matches_ix():
     sub = extract_subtensor(Tensor(data), sets)
     np.testing.assert_array_equal(sub.data, data[np.ix_(*sets)])
     assert sub.dims == (2, 3, 2)
-
-
-def test_split_coordinates_pinned():
-    assert split_coordinates(10, 3) == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    assert [len(p) for p in split_coordinates(30, 3)] == [10, 10, 10]
-
-
-@given(st.integers(1, 40), st.integers(1, 6))
-def test_split_coordinates_partitions(n, ell):
-    if ell > n:
-        with pytest.raises(ValueError):
-            split_coordinates(n, ell)
-        return
-    parts = split_coordinates(n, ell)
-    flat = [c for p in parts for c in p]
-    assert flat == list(range(n))
-    sizes = [len(p) for p in parts]
-    assert max(sizes) - min(sizes) <= 1
-    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_tensor_json_roundtrip():

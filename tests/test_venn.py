@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from venndec import venn
 from venndec.rng import generator
 from venndec.tensor import Tensor
 from venndec.venn import (
@@ -155,37 +154,60 @@ def test_reconstruct_empty_diagram():
     assert got.m == 0
 
 
-def test_reconstruct_split_route_roundtrip():
+def test_reconstruct_few_regions_roundtrip():
+    # 4 regions over 18 sets: well below the n-row rank cap
     v = random_diagram(18, 4, seed=5)
     got = reconstruct(intersection_tensor(v, 3), m_max=6)
     d = diagram_diff(v, got)
     assert d.exact_match, d.to_json_dict()
 
 
-def test_reconstruct_full_route_roundtrip():
-    # 8 regions exceed the 6x6x6 split subtensor's capacity at n=18
+def test_reconstruct_more_regions_roundtrip():
+    # 8 regions over 18 sets: each set holds parts of several regions
     v = random_diagram(18, 8, seed=6)
     got = reconstruct(intersection_tensor(v, 3), m_max=8)
     d = diagram_diff(v, got)
     assert d.exact_match, d.to_json_dict()
 
 
-def test_reconstruct_route_switches_above_split_capacity(monkeypatch):
-    # n=12, ell=4: four parts of 3 coordinates, so the split subtensor is
-    # 3x3x3x3 and carries max_terms((3, 3, 3, 3)) == 3 regions
-    calls = []
-    extract = venn.extract_subtensor
-    monkeypatch.setattr(venn, "extract_subtensor", lambda *a: calls.append(a) or extract(*a))
-    # region r holds coordinate (r + k) mod 3 of part k; the fourth fills two of three
+def test_reconstruct_order4_cyclic_blocks_roundtrip():
+    # n=12, ell=4: region r holds coordinate (r + k) mod 3 of each block k of
+    # three coordinates; the fourth region fills two of every three
     patterns = [tuple(int(i % 3 == (r + i // 3) % 3) for i in range(12)) for r in range(3)]
     patterns.append((1, 1, 0) * 4)
-    for m, split_calls in ((3, 1), (4, 0)):
+    for m in (3, 4):
         v = VennDiagram(12, tuple(Region(p, 1.0 + r) for r, p in enumerate(patterns[:m])))
-        calls.clear()
         got = reconstruct(intersection_tensor(v, 4), m_max=m)
-        assert len(calls) == split_calls
         d = diagram_diff(v, got)
         assert d.exact_match, d.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "ell, patterns, weights",
+    [
+        # the first pattern is zero on the coordinates {0, 1}
+        (3, ((0, 0, 0, 1, 0), (0, 1, 0, 1, 1)), (1.0, 2.0)),
+        # the diagram of CLI `gen --n 12 --m 4 --seed 5`; the first pattern is
+        # zero on the coordinates {3, 4, 5}
+        (
+            5,
+            (
+                (0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1),
+                (0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0),
+                (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0),
+                (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1),
+            ),
+            (1.0, 1.0, 1.0, 1.0),
+        ),
+    ],
+)
+def test_reconstruct_patterns_zero_on_a_coordinate_block(ell, patterns, weights):
+    # restricted to ell disjoint coordinate blocks, a pattern that is zero on
+    # one block loses its term; the whole tensor keeps every region
+    v = VennDiagram(len(patterns[0]), tuple(Region(p, w) for p, w in zip(patterns, weights)))
+    got = reconstruct(intersection_tensor(v, ell), m_max=len(patterns))
+    d = diagram_diff(v, got)
+    assert d.exact_match, d.to_json_dict()
 
 
 def test_reconstruct_rejects_rounding_ambiguity():
