@@ -15,7 +15,8 @@ back into its modes by rank-one factorization (``recover_rank_one_terms``).
 ``condition_report`` summarizes how well-posed such a decomposition is for a
 given factor matrix: its extreme singular values, the leave-one-out distances
 from each column to the span of the others, and the separation of the
-c-factors that the eigenvalue step relies on.
+c-factors that the eigenvalue step relies on.  Both the singular values and
+the distances come from one Householder QR of the factor matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import pinv, svdvals
+from scipy.linalg import lapack, pinv, qr, svdvals
 
 from .rng import generator
 from .tensor import Tensor, group, outer
@@ -376,8 +377,7 @@ def recover_rank_one_terms(t: Tensor, m: int, seed: int = 0) -> DecompositionRes
 
 def leave_one_out_distances(a: np.ndarray) -> np.ndarray:
     """Distance from each column to the span of the remaining columns."""
-    A = _column_matrix(a)
-    return _leave_one_out(A, svdvals(A))
+    return _conditioning(_column_matrix(a))[1]
 
 
 def _column_matrix(a: np.ndarray) -> np.ndarray:
@@ -387,14 +387,20 @@ def _column_matrix(a: np.ndarray) -> np.ndarray:
     return A
 
 
-def _leave_one_out(A: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``leave_one_out_distances`` of A, given its singular values s."""
+def _conditioning(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m singular values of the rows x m matrix A (zero-padded when
+    m > rows) and its leave-one-out distances, from one QR of A."""
     rows, m = A.shape
-    full_rank = m <= rows and s[-1] > max(rows, m) * np.finfo(float).eps * s[0]
-    if full_rank:
-        # for full column rank, dist_j = 1 / ||row_j of pinv(A)||
-        P = pinv(A, rtol=_RCOND)
-        return 1.0 / np.linalg.norm(P, axis=1)
+    # A = QR with orthonormal Q, so A and R share their singular values
+    R = qr(A, mode="r")[0][: min(rows, m)]
+    s = np.concatenate([svdvals(R), np.zeros(m - R.shape[0])])
+    if s[-1] > max(rows, m) * np.finfo(float).eps * s[0]:
+        # full column rank: dist_j = 1 / ||row_j of pinv(A)||, and
+        # pinv(A) = R^-1 Q^T has the row norms of R^-1; an exact zero on R's
+        # diagonal (info > 0) falls through to the projections below
+        r_inv, info = lapack.dtrtri(R)
+        if info == 0:
+            return s, 1.0 / np.linalg.norm(r_inv, axis=1)
     # rank-deficient or overcomplete: project each column directly
     out = np.empty(m)
     for j in range(m):
@@ -402,7 +408,7 @@ def _leave_one_out(A: np.ndarray, s: np.ndarray) -> np.ndarray:
         q, _ = np.linalg.qr(rest, mode="reduced")
         col = A[:, j]
         out[j] = float(np.linalg.norm(col - q @ (q.T @ col)))
-    return out
+    return s, out
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,14 +448,16 @@ def condition_report(a: np.ndarray, c: np.ndarray | None = None) -> ConditionRep
 
     ``a`` has one column per term.  The leave-one-out distances sandwich the
     smallest singular value: sigma_min <= min_j dist_j <= sqrt(m) sigma_min.
+    Both come from one QR, A = QR: the singular values are those of R, and
+    for full column rank dist_j = 1 / ||row j of R^-1||.  With more columns
+    than rows, sigma_min is the m-th singular value, 0, and kappa is inf.
     ``c`` (optional) holds the third-mode factors; their separation
     min_{i<j} ||c_i/||c_i|| - c_j/||c_j|||| governs the eigenvalue gaps.
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2:
         raise ValueError("factor matrix must be 2-D")
-    s = svdvals(A)
-    loo = _leave_one_out(_column_matrix(A), s)
+    s, loo = _conditioning(_column_matrix(A))
     sep: float | None = None
     if c is not None:
         C = np.asarray(c, dtype=float)

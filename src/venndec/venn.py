@@ -15,7 +15,6 @@ re-fit the weights by nonnegative least squares.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,6 +205,18 @@ def intersection_tensor(v: VennDiagram, ell: int) -> MeasurementTensor:
     return MeasurementTensor(Tensor(data))
 
 
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    """Average of x over all permutations of its axes, in ell(ell-1)/2 swap
+    passes instead of ell! transposes: once x is symmetric in axes 0..k-1,
+    averaging it with its k swaps (j, k), j < k, makes it symmetric in 0..k."""
+    for k in range(1, x.ndim):
+        acc = x.copy()
+        for j in range(k):
+            acc += np.swapaxes(x, j, k)
+        x = acc / (k + 1)
+    return x
+
+
 def add_measurement_noise(t: MeasurementTensor, eps: float, seed: int = 0) -> MeasurementTensor:
     """Add iid uniform [-eps, eps] noise, re-symmetrized by permutation averaging."""
     if eps < 0.0:
@@ -213,12 +224,7 @@ def add_measurement_noise(t: MeasurementTensor, eps: float, seed: int = 0) -> Me
     if eps == 0.0:
         return t
     rng = generator(seed, "measure-noise")
-    noise = rng.uniform(-eps, eps, size=t.tensor.dims)
-    ell = t.order
-    sym = np.zeros_like(noise)
-    for perm in itertools.permutations(range(ell)):
-        sym += np.transpose(noise, perm)
-    sym /= math.factorial(ell)
+    sym = _symmetrize(rng.uniform(-eps, eps, size=t.tensor.dims))
     return MeasurementTensor(Tensor(t.tensor.data + sym), epsilon_inf=t.epsilon_inf + eps)
 
 

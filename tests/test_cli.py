@@ -97,6 +97,16 @@ def test_condition_inline_json():
     assert obj["tau"] == pytest.approx(2.0 ** 0.5)
 
 
+def test_condition_wide_matrix():
+    # three columns in the plane: sigma_min is 0 and kappa is infinite
+    r = run_cli("condition", "--input", '{"matrix": [[1, 0, 1], [0, 1, 1]]}')
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(r.stdout)
+    assert obj["sigma_min"] == 0.0
+    assert obj["kappa"] is None
+    assert obj["leave_one_out"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_echelon_build_and_verify(tmp_path):
     tree_path = tmp_path / "tree.json"
     cfg = {

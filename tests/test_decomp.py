@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import pinv, subspace_angles, svdvals
 
 from venndec import decomp
 from venndec.decomp import (
@@ -371,3 +373,71 @@ def test_leave_one_out_rank_deficient():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])  # parallel columns
     loo = leave_one_out_distances(a)
     np.testing.assert_allclose(loo, [0.0, 0.0], atol=1e-12)
+
+
+# --- conditioning from one QR ---------------------------------------------------
+
+
+def pinv_leave_one_out(a):
+    """Reference for full column rank: dist_j = 1 / ||row_j of pinv(A)||."""
+    return 1.0 / np.linalg.norm(pinv(a), axis=1)
+
+
+def scaled_columns(rng, rows, m):
+    """Gaussian columns scaled by factors between 1 and 1e4."""
+    return rng.standard_normal((rows, m)) * 10.0 ** rng.uniform(0.0, 4.0, size=m)
+
+
+@given(st.integers(0, 10_000))
+def test_qr_conditioning_matches_pinv_and_svdvals(seed):
+    rng = generator(seed, "qr-conditioning")
+    m = int(rng.integers(1, 13))
+    a = scaled_columns(rng, 2 * m + int(rng.integers(0, 25)), m)  # tall, full rank
+    rep = condition_report(a)
+    want = pinv_leave_one_out(a)
+    np.testing.assert_allclose(rep.leave_one_out, want, rtol=1e-9)
+    np.testing.assert_allclose(leave_one_out_distances(a), want, rtol=1e-9)
+    s = svdvals(a)
+    assert rep.sigma_max == pytest.approx(s[0], rel=1e-12)
+    assert rep.sigma_min == pytest.approx(s[-1], rel=1e-12)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["tall", "square", "wide", "rank-deficient"]))
+def test_sandwich_holds_on_every_shape(seed, shape):
+    rng = generator(seed, "sandwich-shapes")
+    m = int(rng.integers(2, 10))
+    if shape == "tall":
+        a = scaled_columns(rng, m + int(rng.integers(1, 20)), m)
+    elif shape == "square":
+        a = scaled_columns(rng, m, m)
+    elif shape == "wide":
+        a = scaled_columns(rng, int(rng.integers(1, m)), m)
+    else:
+        r = int(rng.integers(1, m))
+        a = rng.standard_normal((m + 5, r)) @ rng.standard_normal((r, m))
+    rep = condition_report(a)
+    slack = 1e-9 * rep.sigma_max
+    assert rep.sigma_min <= rep.min_leave_one_out + slack
+    assert rep.min_leave_one_out <= math.sqrt(m) * rep.sigma_min + slack
+
+
+def test_condition_wide_matrix_has_zero_sigma_min():
+    # three columns in the plane: the third singular value is 0, not the
+    # second one of the 2 x 3 matrix
+    rep = condition_report(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    assert rep.sigma_min == 0.0
+    assert rep.sigma_max == pytest.approx(math.sqrt(3.0))
+    assert rep.kappa == math.inf
+    assert rep.to_json_dict()["kappa"] is None
+    np.testing.assert_allclose(rep.leave_one_out, np.zeros(3), atol=1e-12)
+
+
+def test_conditioning_never_calls_pinv(monkeypatch):
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pinv called")
+
+    monkeypatch.setattr(decomp, "pinv", no_pinv)
+    a = generator(3, "no-pinv").standard_normal((20, 6))
+    want = pinv_leave_one_out(a)
+    np.testing.assert_allclose(condition_report(a).leave_one_out, want, rtol=1e-12)
+    np.testing.assert_allclose(leave_one_out_distances(a), want, rtol=1e-12)

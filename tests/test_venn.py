@@ -17,6 +17,7 @@ from venndec.venn import (
     diagram_diff,
     intersection_tensor,
     _refit_weights,
+    _symmetrize,
     rank_detect,
     reconstruct,
 )
@@ -128,6 +129,25 @@ def test_add_measurement_noise():
     np.testing.assert_array_equal(noisy.tensor.data, again.tensor.data)
     with pytest.raises(ValueError):
         add_measurement_noise(t, -1.0)
+
+
+def permutation_average(x):
+    """Reference: the mean of all ell! axis transposes of x."""
+    out = np.zeros_like(x)
+    for perm in itertools.permutations(range(x.ndim)):
+        out += np.transpose(x, perm)
+    return out / math.factorial(x.ndim)
+
+
+@pytest.mark.parametrize("n, ell", [(7, 3), (6, 4), (5, 5), (4, 6)])
+def test_symmetrize_matches_permutation_average(n, ell):
+    x = generator(ell, "symmetrize").uniform(-1.0, 1.0, size=(n,) * ell)
+    before = x.copy()
+    got = _symmetrize(x)
+    np.testing.assert_array_equal(x, before)
+    # the same average summed in another order: a few ulps of unit noise apart
+    np.testing.assert_allclose(got, permutation_average(x), rtol=0, atol=64 * np.finfo(float).eps)
+    MeasurementTensor(Tensor(got))  # symmetric within the check's 1e-9 * max|T|
 
 
 def test_rank_detect():
