@@ -37,7 +37,6 @@ from .echelon import (
     collapse,
     largeness,
     orthogonal_complement,
-    reduce_tree,
     verify_echelon,
 )
 from .decomp import (

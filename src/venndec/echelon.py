@@ -24,14 +24,17 @@ a flatter tree with the largest feasible second-level branching beta, keep the
 level-1 nodes sharing the most common leading coordinate (at least beta * n_2
 of them exist by pigeonhole), zero out that whole slice of W, and repeat.
 
-``reduce_tree`` and ``certify_distance`` turn a tree for W into a certified
-lower bound on the Euclidean distance from a rank-one tensor to the subspace
-orthogonal to W: every evaluation |T_I(x_1, ..., x_ell)| / ||T_I||_F is such a
-bound because T_I lies in W.
+``certify_distance`` turns a tree for W into a certified lower bound on the
+Euclidean distance from a rank-one tensor x = x_1 (x) ... (x) x_ell to any
+subspace orthogonal to W: every leaf T_I lies in W, so for v orthogonal to W,
+|<T_I, x>| = |<T_I, x - v>| <= ||T_I||_F ||x - v||.  The certificate is the
+largest of these bounds over all leaves, read off one matrix-vector product
+of the stacked leaves with x.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -56,7 +59,6 @@ __all__ = [
     "collapse",
     "verify_echelon",
     "largeness",
-    "reduce_tree",
     "certify_distance",
 ]
 
@@ -222,21 +224,13 @@ class IndexTree:
 
 @dataclass(frozen=True, eq=False)
 class EchelonTree:
-    """Index tree plus a tensor per leaf.
-
-    ``origins`` (only set on reduced trees) maps each current leaf back to the
-    leaf of the tree it was derived from, so certificates can be normalized by
-    the original tensor norms.
-    """
+    """Index tree plus a tensor per leaf."""
 
     tree: IndexTree
     leaf_tensors: Mapping[tuple[int, ...], Tensor]
-    origins: Mapping[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "leaf_tensors", dict(self.leaf_tensors))
-        if self.origins is not None:
-            object.__setattr__(self, "origins", dict(self.origins))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -245,11 +239,6 @@ class EchelonTree:
     @property
     def height(self) -> int:
         return self.tree.height
-
-    def origin_of(self, leaf_index: tuple[int, ...]) -> tuple[int, ...]:
-        if self.origins is None:
-            return leaf_index
-        return self.origins[leaf_index]
 
     def to_json_dict(self) -> dict:
         def encode(node: TreeNode) -> dict:
@@ -627,75 +616,30 @@ def collapse(t: EchelonTree, mode: int) -> EchelonTree:
     return EchelonTree(IndexTree(new_dims, children), leaf_tensors)
 
 
-def reduce_tree(t: EchelonTree, chi: np.ndarray) -> EchelonTree:
-    """Contract the last mode with chi, keeping one leaf per bottom parent.
+def certify_distance(t: EchelonTree, chis: Sequence[np.ndarray]) -> float:
+    """Certified lower bound on dist(chi_1 (x) ... (x) chi_ell, span(W)^perp).
 
-    Each level-(ell-1) node J picks, among its leaf children, the contracted
-    candidate with the largest |value at e_J| (first wins on ties) and becomes
-    a leaf of the shorter tree.  All echelon zero-patterns survive the
-    contraction; the chosen pivot may be zero, in which case the result simply
-    has largeness 0 rather than raising.
+    For a tree whose leaf tensors lie in W, returns the maximum over all
+    leaves I of |<T_I, chi_1 (x) ... (x) chi_ell>| / ||T_I||_F, each of which
+    lower-bounds the Euclidean distance from the rank-one tensor to any
+    subspace orthogonal to W.  Always sound, possibly loose.  Zero-norm
+    leaves are skipped, and a tree without leaves certifies 0.0.
+
+    Raises ValueError unless there is one direction per mode, each of the
+    mode's length and with finite entries.
     """
-    ell = t.height
-    if ell < 2:
-        raise ValueError("reduce needs a tree of height >= 2")
-    chi = np.asarray(chi, dtype=float).ravel()
-    if chi.size != t.dims[-1]:
-        raise ValueError(f"direction has length {chi.size}, expected {t.dims[-1]}")
-
-    new_dims = t.dims[:-1]
-    leaf_tensors: dict[tuple[int, ...], Tensor] = {}
-    origins: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.level == ell - 1:
-            best_val = -1.0
-            best: tuple[np.ndarray, tuple[int, ...]] | None = None
-            for c in node.children:
-                contracted = np.tensordot(t.leaf_tensors[c.index].data, chi, axes=([ell - 1], [0]))
-                val = abs(float(contracted[node.index]))
-                if val > best_val:
-                    best_val = val
-                    best = (contracted, c.index)
-            assert best is not None  # leaves always exist below a bottom parent
-            leaf_tensors[node.index] = Tensor(best[0])
-            origins[node.index] = t.origin_of(best[1])
-            return TreeNode(node.index)
-        return TreeNode(node.index, tuple(rebuild(c) for c in node.children))
-
-    children = tuple(rebuild(c) for c in t.tree.children)
-    return EchelonTree(IndexTree(new_dims, children), leaf_tensors, origins=origins)
-
-
-def certify_distance(
-    t: EchelonTree,
-    chis: Sequence[np.ndarray],
-    original: EchelonTree | None = None,
-) -> float:
-    """Certified lower bound on dist(chi_1 (x) ... (x) chi_ell, span(W)^perp)...
-
-    More precisely: for a tree whose leaf tensors lie in W, returns
-    max_I |T_I(chi_1, ..., chi_ell)| / ||T_I||_F over the leaf chains that
-    survive successive reduction, which lower-bounds the Euclidean distance
-    from the rank-one tensor to any subspace orthogonal to W.  Always
-    sound, possibly loose; returns 0.0 when every surviving chain evaluates
-    to zero.
-    """
-    ell = t.height
-    if len(chis) != ell:
-        raise ValueError(f"need {ell} direction vectors, got {len(chis)}")
-    base = original if original is not None else t
-    cur = t
-    for k in range(ell - 1, 0, -1):
-        cur = reduce_tree(cur, chis[k])
-    chi0 = np.asarray(chis[0], dtype=float).ravel()
-    if chi0.size != t.dims[0]:
-        raise ValueError(f"direction 0 has length {chi0.size}, expected {t.dims[0]}")
-    best = 0.0
-    for idx, tensor in cur.leaf_tensors.items():
-        val = abs(float(np.dot(tensor.data, chi0)))
-        origin = cur.origin_of(idx) if cur.origins is not None else idx
-        nf = float(np.linalg.norm(base.leaf_tensors[origin].data))
-        if nf > 0.0:
-            best = max(best, val / nf)
-    return best
+    if len(chis) != t.height:
+        raise ValueError(f"need {t.height} direction vectors, got {len(chis)}")
+    vecs = [np.asarray(chi, dtype=float).ravel() for chi in chis]
+    for k, (chi, n_k) in enumerate(zip(vecs, t.dims)):
+        if chi.size != n_k:
+            raise ValueError(f"direction {k} has length {chi.size}, expected {n_k}")
+        if not np.all(np.isfinite(chi)):
+            raise ValueError(f"direction {k} has non-finite entries")
+    if not t.leaf_tensors:
+        return 0.0
+    leaves = np.stack([tensor.data.ravel() for tensor in t.leaf_tensors.values()])
+    norms = np.linalg.norm(leaves, axis=1)
+    keep = norms > 0.0
+    x = functools.reduce(np.multiply.outer, vecs).ravel()
+    return float(np.max(np.abs(leaves[keep] @ x) / norms[keep], initial=0.0))

@@ -151,7 +151,13 @@ def sigma_min_bound(n: int, ell: int, c: float, p: float) -> float:
 
 
 def echelon_bound(n: int, ell: int, c: float, p: float) -> float:
-    """(1 + n + ... + n^(ell-1)) * p^((1-c) n) for the certificate failures."""
+    """(1 + n + ... + n^(ell-1)) * p^((1-c) n) for the certificate failures.
+
+    The paper's argument bounds the failures of one reduction chain through
+    the tree.  The chain's value is one of the leaf values that
+    ``certify_distance`` maximizes over, so the all-leaf certificate fails no
+    more often and the same bound holds.
+    """
     return float(sum(n ** k for k in range(ell)) * p ** ((1.0 - c) * n))
 
 

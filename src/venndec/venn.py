@@ -299,6 +299,11 @@ def reconstruct(
 
     Raises on rounding ambiguity: any averaged coordinate within tol of the
     0.5 threshold is refused rather than silently rounded.
+
+    A closing check compares the recovered diagram's intersection tensor with
+    the observed one and raises ValueError when they differ anywhere by more
+    than 2 * epsilon_inf + 1e-9 * max|T_obs|: the true diagram fits within
+    epsilon_inf, so a diagram that does not fit within twice that is wrong.
     """
     ell = t_obs.order
     if ell < 3:
@@ -312,7 +317,7 @@ def reconstruct(
     t = t_obs.tensor
     m = rank_detect(t, m_max)
     if m == 0:
-        return VennDiagram(n, ())
+        return VennDiagram(n, ())  # rank_detect found an all-zero tensor
 
     result = recover_rank_one_terms(t, m, seed=seed)
     patterns: list[tuple[int, ...]] = []
@@ -327,13 +332,24 @@ def reconstruct(
         patterns.append(tuple(int(b) for b in (est > 0.5)))
 
     unique = sorted(set(p for p in patterns if any(p)))
-    if not unique:
-        return VennDiagram(n, ())
-    w = _refit_weights(t.data, np.array(unique, dtype=float).T)
-    regions = tuple(
-        Region(p, float(wi)) for p, wi in zip(unique, w) if wi > _WEIGHT_DROP
-    )
-    return VennDiagram(n, regions)
+    regions: tuple[Region, ...] = ()
+    if unique:
+        w = _refit_weights(t.data, np.array(unique, dtype=float).T)
+        regions = tuple(
+            Region(p, float(wi)) for p, wi in zip(unique, w) if wi > _WEIGHT_DROP
+        )
+    out = VennDiagram(n, regions)
+
+    # closing check: the true diagram fits within epsilon_inf, and twice that
+    # leaves room for the least-squares weights
+    gap = float(np.max(np.abs(t.data - intersection_tensor(out, ell).tensor.data)))
+    atol = 2.0 * t_obs.epsilon_inf + 1e-9 * float(np.max(np.abs(t.data)))
+    if gap > atol:
+        raise ValueError(
+            f"closing check failed: the recovered diagram's tensor differs from the "
+            f"observed one by {gap:.3e} > {atol:.3e}"
+        )
+    return out
 
 
 @dataclass(frozen=True)

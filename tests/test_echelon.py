@@ -3,18 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from venndec.echelon import (
     BranchingSpec,
     EchelonTree,
+    IndexTree,
     SubspaceBasis,
     build_echelon_tree,
     certify_distance,
     collapse,
     largeness,
     orthogonal_complement,
-    reduce_tree,
     verify_echelon,
     _constrain_coords,
     _eliminate,
@@ -425,45 +427,7 @@ def test_collapse_mode_out_of_range():
         collapse(tree, 1)
 
 
-# --- reduction and certificates ---------------------------------------------
-
-
-def test_reduce_full_tree_hand_example():
-    w = SubspaceBasis((2, 2), np.eye(4))
-    tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
-    red = reduce_tree(tree, np.array([1.0, 0.0]))
-    assert red.height == 1
-    np.testing.assert_allclose(red.leaf_tensors[(0,)].data, [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(red.leaf_tensors[(1,)].data, [0.0, 1.0], atol=1e-12)
-    assert largeness(red) == 1.0
-
-
-def test_reduce_zero_direction_gives_zero_largeness():
-    w = SubspaceBasis((2, 2), np.eye(4))
-    tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
-    red = reduce_tree(tree, np.zeros(2))
-    assert largeness(red) == 0.0
-
-
-def test_reduce_rejects_height_one():
-    w = SubspaceBasis((2, 2), np.eye(4))
-    tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
-    flat = collapse(tree, 0)
-    with pytest.raises(ValueError):
-        reduce_tree(flat, np.zeros(4))
-
-
-def test_successive_reduce_matches_multilinear_eval():
-    w = random_subspace((3, 3, 3), 20, seed=14)
-    tree, _ = build_echelon_tree(w, BranchingSpec((1 / 3, 1 / 3, 1 / 3)))
-    rng = generator(15, "chi")
-    chis = [rng.standard_normal(3) for _ in range(3)]
-    red = reduce_tree(reduce_tree(tree, chis[2]), chis[1])
-    for idx, t in red.leaf_tensors.items():
-        origin = red.origin_of(idx)
-        val = float(t.data @ chis[0])
-        direct = float(np.einsum("ijk,i,j,k->", tree.leaf_tensors[origin].data, *chis))
-        assert val == pytest.approx(direct, abs=1e-12)
+# --- certificates -----------------------------------------------------------
 
 
 def test_certify_hand_example():
@@ -497,3 +461,107 @@ def test_certify_soundness_sample():
         x = np.outer(chis[0], chis[1]).ravel()
         exact = float(np.linalg.norm(x - vb @ (vb.T @ x)))
         assert certify_distance(tree, chis) <= exact + 1e-9
+
+
+def chain_certificate(tree, chis):
+    """Reference: the greedy chain the certificate used to follow.
+
+    Contract the last mode with its direction; under every bottom parent keep
+    the child whose contraction is largest in magnitude at the parent's own
+    index (the first child wins ties); repeat up to level 1, then evaluate
+    each surviving chain against chi_1 and normalize by its origin leaf.
+    """
+    cur = {idx: (t.data, idx) for idx, t in tree.leaf_tensors.items()}
+    for k in range(tree.height - 1, 0, -1):
+        best = {}
+        for idx, (data, origin) in cur.items():
+            contracted = np.tensordot(data, chis[k], axes=([k], [0]))
+            parent = idx[:-1]
+            val = abs(float(contracted[parent]))
+            if parent not in best or val > best[parent][0]:
+                best[parent] = (val, contracted, origin)
+        cur = {p: (c, o) for p, (_, c, o) in best.items()}
+    out = 0.0
+    for data, origin in cur.values():
+        nf = float(np.linalg.norm(tree.leaf_tensors[origin].data))
+        if nf > 0.0:
+            out = max(out, abs(float(data @ chis[0])) / nf)
+    return out
+
+
+def brute_force_certificate(tree, chis):
+    letters = "abc"[: tree.height]
+    subscript = letters + "," + ",".join(letters) + "->"
+    vals = [
+        abs(float(np.einsum(subscript, t.data, *chis))) / float(np.linalg.norm(t.data))
+        for t in tree.leaf_tensors.values()
+    ]
+    return max(vals, default=0.0)
+
+
+@st.composite
+def certified_points(draw):
+    """A tree for W = V^perp of a random V in R^(4x4) or R^(3x3x3), a
+    direction per mode (Gaussian or 0/1), and an orthonormal basis of V."""
+    dims = draw(st.sampled_from([(4, 4), (3, 3, 3)]))
+    seed = draw(st.integers(0, 10_000))
+    ambient = math.prod(dims)
+    rng = generator(seed, "certify", len(dims))
+    if dims == (4, 4):  # criterion 03's construction
+        dim_v = int(rng.integers(1, 16))
+        alpha = 1.0 - math.sqrt(dim_v / 16.0)
+    else:  # (2/3)^3 = 8/27, so one-third branching fits dim(V) <= 8
+        dim_v = int(rng.integers(1, 9))
+        alpha = 1.0 / 3.0
+    vb = np.linalg.qr(rng.standard_normal((ambient, dim_v)))[0]
+    w = orthogonal_complement(SubspaceBasis(dims, vb))
+    tree, _ = build_echelon_tree(w, BranchingSpec((alpha,) * len(dims)))
+    if draw(st.booleans()):
+        chis = [rng.standard_normal(n) for n in dims]
+    else:
+        chis = [rng.integers(0, 2, size=n).astype(float) for n in dims]
+    return tree, chis, vb
+
+
+@given(certified_points())
+def test_certify_is_the_maximum_over_all_leaves(case):
+    tree, chis, _ = case
+    got = certify_distance(tree, chis)
+    assert got == pytest.approx(brute_force_certificate(tree, chis), rel=1e-12, abs=1e-15)
+    assert got >= chain_certificate(tree, chis) * (1.0 - 1e-12)
+
+
+@given(certified_points())
+def test_certify_is_sound_and_ignores_leaf_order(case):
+    tree, chis, vb = case
+    got = certify_distance(tree, chis)
+    x = np.multiply.outer(chis[0], chis[1])
+    for chi in chis[2:]:
+        x = np.multiply.outer(x, chi)
+    x = x.ravel()
+    assert got <= float(np.linalg.norm(x - vb @ (vb.T @ x))) + 1e-9
+    items = list(tree.leaf_tensors.items())
+    order = generator(len(items), "shuffle").permutation(len(items))
+    shuffled = EchelonTree(tree.tree, dict(items[i] for i in order))
+    assert certify_distance(shuffled, chis) == pytest.approx(got, rel=1e-12, abs=1e-15)
+
+
+def test_certify_empty_tree_is_zero():
+    tree = EchelonTree(IndexTree((2, 2), ()), {})
+    assert certify_distance(tree, [np.ones(2), np.ones(2)]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "chis, match",
+    [
+        ([np.array([np.nan, 0.0]), np.ones(2)], "direction 0 has non-finite"),
+        ([np.ones(2), np.array([1.0, np.nan])], "direction 1 has non-finite"),
+        ([np.ones(2), np.array([np.inf, 1.0])], "direction 1 has non-finite"),
+        ([np.ones(3), np.ones(2)], "direction 0 has length 3, expected 2"),
+    ],
+)
+def test_certify_rejects_bad_directions(chis, match):
+    w = SubspaceBasis((2, 2), np.eye(4))
+    tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
+    with pytest.raises(ValueError, match=match):
+        certify_distance(tree, chis)

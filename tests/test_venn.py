@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from venndec.perturb import BitFlip, MembershipMatrix, perturb_memberships
 from venndec.rng import generator
 from venndec.tensor import Tensor
 from venndec.venn import (
@@ -254,6 +255,24 @@ def test_reconstruct_noisy_weights_close():
     d = diagram_diff(v, got)
     assert not d.only_in_first and not d.only_in_second
     assert d.weight_l1 <= 1e-4
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-1])
+def test_reconstruct_under_noise_is_right_or_raises(eps):
+    # criterion 07's shape at noise levels where the decomposition often lands
+    # on wrong patterns: every trial must return the true patterns or raise
+    n, ell, m = 30, 3, 20
+    for trial in range(10):
+        seed = 17000 + trial
+        x = perturb_memberships(MembershipMatrix(np.ones((n, m)), n), BitFlip(0.2), seed)
+        truth = VennDiagram.from_columns(x.X, merge_duplicates=True)
+        noisy = add_measurement_noise(intersection_tensor(truth, ell), eps, seed=seed)
+        try:
+            got = reconstruct(noisy, m_max=m, seed=seed)
+        except ValueError:
+            continue
+        d = diagram_diff(truth, got)
+        assert not d.only_in_first and not d.only_in_second, (trial, d.to_json_dict())
 
 
 def dense_refit(data, X):
