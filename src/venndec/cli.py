@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     except KeyError as exc:  # a JSON input without a field its reader needs
         sys.stderr.write(f"error: missing field {exc.args[0]!r}\n")
         return _EXIT_CONTRACT
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_CONTRACT
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack, pinv, qr, svdvals
 
 from .rng import generator
-from .tensor import Tensor, group, outer
+from .tensor import Tensor, group, khatri_rao, outer
 
 __all__ = [
     "RankOneTerm",
@@ -48,6 +48,7 @@ _RCOND = 1e-12
 # this fraction: from a Jennrich start that is usually round 4 or 5, after
 # which the fit moves no estimate far enough to change a rounded 0/1 pattern
 _ALS_STALL = 0.1
+_ALS_MAX_ROUNDS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +122,14 @@ def _match_eigen(lam_a: np.ndarray, lam_b: np.ndarray) -> list[int]:
     return pairing
 
 
-def _als_refit(
-    data: np.ndarray, A: np.ndarray, B: np.ndarray, max_rounds: int = 40
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _als_refit(data: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Polish factor estimates by alternating least squares.
 
     Keeps A and B unit-column, returns (A, B, C_scaled, rounds) where
     C_scaled has one scaled third-mode factor per row and rounds is the
     number of ALS rounds run.  Strips the eigenvector perturbation left by
     the diagonalization step.  Stops at the first round that cuts the
-    residual by less than 10 % (``_ALS_STALL``), or after ``max_rounds``: a
+    residual by less than 10 % (``_ALS_STALL``), or after 40 rounds: a
     good start stalls within a few rounds, a poor one keeps going while each
     round still cuts the residual by more (though one flat round in an ALS
     swamp stops it there too).
@@ -154,19 +153,17 @@ def _als_refit(
         # lstsq then picks the minimum-norm solution as a tall lstsq would
         return np.linalg.lstsq(gram, rhs, rcond=_RCOND)[0]
 
-    kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
+    kr_ab = khatri_rao([A, B])
     C = solve((A.T @ A) * (B.T @ B), kr_ab.T @ X3)
     # the stall residual is taken directly: expanding it through the Grams
     # cancels catastrophically at the noise floor
     prev = float(np.linalg.norm(X3 - kr_ab @ C))
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < _ALS_MAX_ROUNDS:
         rounds += 1
-        kr_bc = np.einsum("jr,kr->jkr", B, C.T).reshape(n2 * n3, -1)
-        A = normalized(solve((B.T @ B) * (C @ C.T), (X1 @ kr_bc).T).T)
-        kr_ac = np.einsum("ir,kr->ikr", A, C.T).reshape(n1 * n3, -1)
-        B = normalized(solve((A.T @ A) * (C @ C.T), (X2 @ kr_ac).T).T)
-        kr_ab = np.einsum("ir,jr->ijr", A, B).reshape(n1 * n2, -1)
+        A = normalized(solve((B.T @ B) * (C @ C.T), (X1 @ khatri_rao([B, C.T])).T).T)
+        B = normalized(solve((A.T @ A) * (C @ C.T), (X2 @ khatri_rao([A, C.T])).T).T)
+        kr_ab = khatri_rao([A, B])
         C = solve((A.T @ A) * (B.T @ B), kr_ab.T @ X3)
         res = float(np.linalg.norm(X3 - kr_ab @ C))
         if res >= prev * (1.0 - _ALS_STALL):
@@ -258,12 +255,11 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
             ci, csign = _fix_sign(ci)
             terms.append(RankOneTerm((ai, bi, ci), scale=w * csign, residual=residuals[i]))
         terms.sort(key=lambda term: -abs(term.scale))
-        approx = sum(term.tensor().data for term in terms)
-        recon = float(np.linalg.norm(t.data - approx))
         return DecompositionResult(
             tuple(terms),
             max_residual=max(residuals, default=0.0),
-            recon_residual=recon,
+            # the polished factors fit the mode-3 unfolding; the sign flips cancel
+            recon_residual=float(np.linalg.norm(t.data.reshape(n1 * n2, n3) - khatri_rao([A, B]) @ c_scaled)),
             polish_rounds=rounds,
         )
 
@@ -365,12 +361,12 @@ def recover_rank_one_terms(t: Tensor, m: int, seed: int = 0) -> DecompositionRes
             scale *= s
             worst = max(worst, res)
         terms.append(RankOneTerm(tuple(split_factors), scale=scale, residual=worst))
-    approx = sum(term.tensor().data for term in terms) if terms else np.zeros(t.dims)
-    recon = float(np.linalg.norm(t.data - approx))
+    F = [np.column_stack(fs) for fs in zip(*(term.factors for term in terms))]
+    approx = khatri_rao(F[:-1]) @ (F[-1] * [term.scale for term in terms]).T
     return DecompositionResult(
         tuple(terms),
         max_residual=max((t_.residual for t_ in terms), default=0.0),
-        recon_residual=recon,
+        recon_residual=float(np.linalg.norm(t.data.reshape(approx.shape) - approx)),
         polish_rounds=base.polish_rounds,
     )
 

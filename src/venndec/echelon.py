@@ -34,7 +34,6 @@ of the stacked leaves with x.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -42,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 from scipy.linalg import lapack, null_space, qr, svdvals
 
-from .tensor import Tensor
+from .tensor import Tensor, khatri_rao
 
 __all__ = [
     "SubspaceBasis",
@@ -641,5 +640,5 @@ def certify_distance(t: EchelonTree, chis: Sequence[np.ndarray]) -> float:
     leaves = np.stack([tensor.data.ravel() for tensor in t.leaf_tensors.values()])
     norms = np.linalg.norm(leaves, axis=1)
     keep = norms > 0.0
-    x = functools.reduce(np.multiply.outer, vecs).ravel()
+    x = khatri_rao([v[:, None] for v in vecs]).ravel()
     return float(np.max(np.abs(leaves[keep] @ x) / norms[keep], initial=0.0))

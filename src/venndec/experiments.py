@@ -34,6 +34,7 @@ from .assemblies import AssemblyParams, AssociationGraph, soft_realize, verify_r
 from .echelon import BranchingSpec, SubspaceBasis, build_echelon_tree, certify_distance, orthogonal_complement, verify_echelon
 from .perturb import MembershipMatrix, model_from_json_dict, nondet_params, perturb_memberships
 from .rng import generator, spawn_seed
+from .tensor import khatri_rao
 from .venn import VennDiagram, add_measurement_noise, diagram_diff, intersection_tensor, reconstruct
 
 __all__ = [
@@ -194,11 +195,7 @@ def run_sigma_min_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         seed_t = spawn_seed(cfg.seed, "trial", t)
         base = MembershipMatrix(np.ones((ell * n, m)), n)
         x = perturb_memberships(base, model, seed_t)
-        blocks = x.X.reshape(ell, n, m)
-        a = blocks[0]
-        for k in range(1, ell):
-            a = np.einsum("ir,jr->ijr", a, blocks[k]).reshape(-1, m)
-        sigma = float(svdvals(a)[-1])
+        sigma = float(svdvals(khatri_rao(x.X.reshape(ell, n, m)))[-1])
         failure = sigma < threshold
         failures += failure
         records.append(

@@ -79,6 +79,19 @@ def outer(vectors: Sequence[np.ndarray]) -> Tensor:
     return Tensor(np.atleast_1d(out))
 
 
+def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Column-wise Kronecker product: column r is the row-major flattening of
+    mats[0][:, r] (x) mats[1][:, r] (x) ..., so khatri_rao([A, B]) @ C.T is
+    the mode-3 unfolding of sum_r a_r (x) b_r (x) c_r."""
+    if len(mats) == 0:
+        raise ValueError("Khatri-Rao product needs at least one matrix")
+    out = mats[0]
+    for b in mats[1:]:
+        # an explicit row count, as reshape(-1, 0) is ambiguous when m = 0
+        out = (out[:, None, :] * b[None, :, :]).reshape(out.shape[0] * b.shape[0], b.shape[1])
+    return out
+
+
 def group(t: Tensor, sizes: Sequence[int]) -> Tensor:
     """Fuse consecutive runs of modes, ``sizes[k]`` modes into block k.
 

@@ -23,7 +23,7 @@ from scipy.optimize import nnls
 
 from .decomp import recover_rank_one_terms
 from .rng import generator
-from .tensor import Tensor
+from .tensor import Tensor, khatri_rao
 
 __all__ = [
     "Region",
@@ -37,11 +37,10 @@ __all__ = [
     "diagram_diff",
 ]
 
-_EINSUM_LETTERS = "abcdefghijkl"
 _WEIGHT_DROP = 1e-10
-# singular values of the mode-1 unfolding above this fraction of the largest
-# count as regions
-_RANK_RTOL = 1e-6
+# eigenvalues of the mode-1 Gram above this fraction of the largest count as
+# regions: singular values of the unfolding above 1e-6 of the largest, squared
+_RANK_RTOL = 1e-12
 # eigenvalues of the pattern Gram below this fraction of the largest are
 # treated as zero; the Gram of 0/1 patterns is an exact integer matrix, so
 # its null directions show up at roundoff level, far below this cutoff
@@ -189,20 +188,15 @@ class MeasurementTensor:
 
 
 def intersection_tensor(v: VennDiagram, ell: int) -> MeasurementTensor:
-    """T = sum_u w(u) chi(u)^(x ell); entry = weight inside the chosen sets."""
+    """T = sum_u w(u) chi(u)^(x ell); entry = weight inside the chosen sets.
+
+    For any ell >= 1, the Khatri-Rao product of the weight row w and ell-1
+    copies of the pattern matrix X, times X^T, is the n^(ell-1) x n unfolding."""
     if ell < 1:
         raise ValueError(f"order must be >= 1, got {ell}")
-    if ell > len(_EINSUM_LETTERS):
-        raise ValueError(f"order {ell} above supported maximum {len(_EINSUM_LETTERS)}")
-    n = v.n
-    if not v.regions:
-        return MeasurementTensor(Tensor(np.zeros((n,) * ell)))
     X = v.columns()
-    w = v.weights()
-    letters = _EINSUM_LETTERS[:ell]
-    subscript = ",".join(f"{c}r" for c in letters) + ",r->" + letters
-    data = np.einsum(subscript, *([X] * ell), w, optimize=True)
-    return MeasurementTensor(Tensor(data))
+    kr = khatri_rao([v.weights()[None, :]] + [X] * (ell - 1))
+    return MeasurementTensor(Tensor((kr @ X.T).reshape((v.n,) * ell)))
 
 
 def _symmetrize(x: np.ndarray) -> np.ndarray:
@@ -229,14 +223,15 @@ def add_measurement_noise(t: MeasurementTensor, eps: float, seed: int = 0) -> Me
 
 
 def rank_detect(t: Tensor, m_max: int) -> int:
-    """Count singular values of the mode-1 unfolding above 1e-6 * sigma_max, at most m_max."""
+    """Count the eigenvalues of the n x n mode-1 Gram U U^T above 1e-12 * lambda_max,
+    at most m_max: U's singular values above 1e-6 * sigma_max, without U's wide SVD."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     unf = t.data.reshape(t.dims[0], -1)
-    s = np.linalg.svd(unf, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
+    lam = np.linalg.eigvalsh(unf @ unf.T)
+    if lam[-1] <= 0.0:
         return 0
-    return min(int(np.sum(s > _RANK_RTOL * s[0])), m_max)
+    return min(int(np.sum(lam > _RANK_RTOL * lam[-1])), m_max)
 
 
 def _normalize_estimate(v: np.ndarray) -> np.ndarray:
@@ -284,7 +279,7 @@ def reconstruct(
 ) -> VennDiagram:
     """Recover a diagram from its (possibly noisy) intersection tensor.
 
-    Pipeline: detect the region count m from the mode-1 unfolding, recover m
+    Pipeline: detect the region count m from the mode-1 Gram, recover m
     rank-one terms of the full tensor (``recover_rank_one_terms``), rescale
     each of a term's ell factors so its largest entry is 1 and average them
     into one estimate per coordinate, round at threshold 0.5, then refit

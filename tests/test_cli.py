@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from venndec import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -161,6 +163,18 @@ def test_experiment_outputs_reproduce(tmp_path):
     r = run_cli("experiment", "--config", json.dumps(cfg), "--format", "csv")
     assert r.returncode == 0
     assert r.stdout.splitlines()[0] == "trial,seed,statistic,threshold,failure"
+
+
+def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
+    def too_large(v, ell):
+        raise MemoryError("Unable to allocate 21.7 GiB for an array")
+
+    monkeypatch.setattr(cli, "intersection_tensor", too_large)
+    diagram = '{"n": 2, "regions": [{"chi": [1, 1], "w": 1.0}]}'
+    out = tmp_path / "t.json"
+    assert cli.main(["tensorize", "--input", diagram, "--ell", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 21.7 GiB for an array\n"
+    assert not out.exists()
 
 
 def test_error_exit_codes(tmp_path):

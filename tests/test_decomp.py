@@ -184,6 +184,17 @@ def test_als_polish_stops_within_a_few_rounds_from_a_jennrich_start():
     assert np.median(rounds) <= 6, rounds
 
 
+@pytest.mark.parametrize("dims, decompose", [((7, 8, 9), jennrich), ((5, 6, 5, 6), recover_rank_one_terms)])
+def test_recon_residual_matches_dense_sum_of_terms(dims, decompose):
+    rng = generator(4, "recon")
+    _, _, t = random_terms(rng, dims, 4)
+    noisy = Tensor(t.data + 1e-4 * rng.standard_normal(dims))
+    result = decompose(noisy, 4, seed=2)
+    dense = float(np.linalg.norm(noisy.data - sum(term.tensor().data for term in result.terms)))
+    assert dense > 1e-3  # the noise leaves a misfit
+    assert result.recon_residual == pytest.approx(dense, rel=1e-9)
+
+
 def test_als_polish_keeps_going_from_a_poor_start():
     # starts 0.3 off the true factors: each round still cuts the residual by
     # far more than the stall fraction, so the polish runs on to the noise

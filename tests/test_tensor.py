@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from venndec.tensor import (
     Tensor,
     extract_subtensor,
     group,
+    khatri_rao,
     outer,
 )
 
@@ -14,6 +18,26 @@ from venndec.tensor import (
 def test_outer_hand_example():
     t = outer([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
     np.testing.assert_array_equal(t.data, [[1.0, -1.0], [1.0, -1.0]])
+
+
+@given(
+    rows=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    m=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_khatri_rao_columns_are_flattened_outer_products(rows, m, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((r, m)) for r in rows]
+    got = khatri_rao(mats)
+    assert got.shape == (math.prod(rows), m)
+    for r in range(m):
+        want = functools.reduce(np.multiply.outer, [a[:, r] for a in mats]).ravel()
+        np.testing.assert_array_equal(got[:, r], want)
+
+
+def test_khatri_rao_needs_a_matrix():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        khatri_rao([])
 
 
 def test_group_is_pure_reshape():

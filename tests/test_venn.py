@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import svdvals
 from scipy.optimize import nnls
 
 from venndec.perturb import BitFlip, MembershipMatrix, perturb_memberships
 from venndec.rng import generator
-from venndec.tensor import Tensor
+from venndec.tensor import Tensor, outer
 from venndec.venn import (
     MeasurementTensor,
     Region,
@@ -100,6 +101,15 @@ def test_intersection_tensor_entry_formula():
         assert t.tensor.data[idx] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("ell", [1, 13])
+def test_intersection_tensor_any_order_matches_outer_products(ell):
+    v = VennDiagram(2, (Region((1, 0), 2.0), Region((1, 1), 3.0), Region((0, 1), 0.5)))
+    want = np.zeros((2,) * ell)
+    for r in v.regions:
+        want += r.weight * outer([np.array(r.pattern, dtype=float)] * ell).data
+    np.testing.assert_allclose(intersection_tensor(v, ell).tensor.data, want, rtol=1e-15)
+
+
 def test_intersection_tensor_empty_diagram():
     t = intersection_tensor(VennDiagram(4, ()), 3)
     np.testing.assert_array_equal(t.tensor.data, np.zeros((4, 4, 4)))
@@ -159,6 +169,19 @@ def test_rank_detect():
     assert rank_detect(t, 2) == 2  # cap applies
     with pytest.raises(ValueError):
         rank_detect(t, 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_detect_matches_svd_count(seed):
+    # the count of singular values of the mode-1 unfolding above 1e-6 of the
+    # largest, on spectra with no singular value within 100x of that cutoff
+    n, ell = 6 + seed, 3 + seed % 2
+    m = int(generator(seed, "rank-detect").integers(1, n + 1))
+    t = intersection_tensor(random_diagram(n, m, seed=seed), ell)
+    t = add_measurement_noise(t, 1e-10 if seed % 2 else 0.0, seed=seed).tensor
+    s = svdvals(t.data.reshape(n, -1))
+    assert np.all((s > 1e-4 * s[0]) | (s < 1e-8 * s[0])), s / s[0]
+    assert rank_detect(t, n) == int(np.sum(s > 1e-6 * s[0]))
 
 
 # --- reconstruction -------------------------------------------------------------
