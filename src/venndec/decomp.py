@@ -4,8 +4,9 @@
 T = sum_j w_j a_j (x) b_j (x) c_j from two random contractions along the third
 mode: M_x = sum_j w_j (c_j . x) a_j b_j^T and likewise M_y.  When the a_j and
 b_j are linearly independent and the ratios (c_j . x)/(c_j . y) are distinct,
-the eigenvectors of M_x pinv(M_y) are the a_j and those of the transposed
-problem are the b_j; the c_j then come out of a linear solve.
+the eigenvectors of M_x pinv(M_y) are the a_j.  With A holding those
+eigenvectors, M_x = A D_x B^T gives pinv(A) M_x = D_x B^T, whose rows are
+the b_j in the same order; the c_j then come out of a linear solve.
 
 An order-ell tensor with ell > 3 is first grouped into three blocks by one
 rule, "halves": the first floor(ell/2) modes, the next ell-1-floor(ell/2)
@@ -108,18 +109,10 @@ def _fix_sign(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, 1.0
 
 
-def _match_eigen(lam_a: np.ndarray, lam_b: np.ndarray) -> list[int]:
-    """Greedy pairing of two eigenvalue lists by closeness."""
-    m = len(lam_a)
-    taken = [False] * m
-    pairing = [-1] * m
-    order = np.argsort(-np.abs(lam_a))
-    for i in order:
-        dists = [abs(lam_a[i] - lam_b[j]) if not taken[j] else math.inf for j in range(m)]
-        j = int(np.argmin(dists))
-        pairing[i] = j
-        taken[j] = True
-    return pairing
+def _unit_columns(M: np.ndarray) -> np.ndarray:
+    """M with each nonzero column scaled to unit 2-norm."""
+    norms = np.linalg.norm(M, axis=0)
+    return M / np.where(norms > 0, norms, 1.0)
 
 
 def _als_refit(data: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -144,10 +137,6 @@ def _als_refit(data: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarr
     X2 = np.moveaxis(data, 1, 0).reshape(n2, n1 * n3)
     X3 = data.reshape(n1 * n2, n3)
 
-    def normalized(M: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(M, axis=0)
-        return M / np.where(norms > 0, norms, 1.0)
-
     def solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # the Gram is singular when the Khatri-Rao columns are dependent;
         # lstsq then picks the minimum-norm solution as a tall lstsq would
@@ -161,8 +150,8 @@ def _als_refit(data: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarr
     rounds = 0
     while rounds < _ALS_MAX_ROUNDS:
         rounds += 1
-        A = normalized(solve((B.T @ B) * (C @ C.T), (X1 @ khatri_rao([B, C.T])).T).T)
-        B = normalized(solve((A.T @ A) * (C @ C.T), (X2 @ khatri_rao([A, C.T])).T).T)
+        A = _unit_columns(solve((B.T @ B) * (C @ C.T), (X1 @ khatri_rao([B, C.T])).T).T)
+        B = _unit_columns(solve((A.T @ A) * (C @ C.T), (X2 @ khatri_rao([A, C.T])).T).T)
         kr_ab = khatri_rao([A, B])
         C = solve((A.T @ A) * (B.T @ B), kr_ab.T @ X3)
         res = float(np.linalg.norm(X3 - kr_ab @ C))
@@ -188,10 +177,13 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
     the Gram U U^T of each mode's unfolding U, draws Gaussian probe vectors for
     the third mode, and diagonalizes M_x pinv(M_y); if eigenvalues collide
     (relative gap below 1e-8) the probes are redrawn, up to 5 times, before
-    giving up with a ValueError.  The per-term residual is the relative
-    mismatch between the eigenvalue recovered from the a-side and from the
-    b-side problem, which is zero in exact arithmetic.  The factors are then
-    polished by alternating least squares (``_als_refit``).
+    giving up with a ValueError.  The real parts of the eigenvectors are the
+    a_j, and the b_j are the rows of pinv(A) M_x = D_x B^T, so each b_j comes
+    paired with its a_j and one eigenproblem serves both sides.  The per-term
+    residual is |Im lambda_j| / |lambda_j|: zero in exact arithmetic, and
+    nonzero when the real pencil has complex eigenvalues, so that no real
+    rank-m decomposition fits the probes.  The factors are then polished by
+    alternating least squares (``_als_refit``).
     """
     if t.order != 3:
         raise ValueError(f"simultaneous diagonalization needs an order-3 tensor, got order {t.order}")
@@ -219,7 +211,11 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
         my = np.tensordot(core, y, axes=([2], [0]))
 
         la, ua = np.linalg.eig(mx @ pinv(my, rtol=_RCOND))
-        lb, ub = np.linalg.eig(mx.T @ pinv(my.T, rtol=_RCOND))
+        ua = np.real(ua)
+        # mx = A' D_x B'^T with A' proportional to ua, so pinv(ua) mx has
+        # rows proportional to the b'_j in the eigenvalue order
+        A = _unit_columns(u1 @ ua)
+        B = _unit_columns(u2 @ (pinv(ua, rtol=_RCOND) @ mx).T)
 
         scale = max(np.max(np.abs(la)), 1e-300)
         gaps = [abs(la[i] - la[j]) / scale for i in range(m) for j in range(i + 1, m)]
@@ -227,21 +223,8 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
         if last_gap < _EIG_GAP_TOL:
             continue  # eigenvalue collision, retry with fresh probes
 
-        pairing = _match_eigen(la, lb)
-        a_cols: list[np.ndarray] = []
-        b_cols: list[np.ndarray] = []
-        residuals: list[float] = []
-        for i in range(m):
-            ai = u1 @ np.real(ua[:, i])
-            bi = u2 @ np.real(ub[:, pairing[i]])
-            a_cols.append(ai / np.linalg.norm(ai))
-            b_cols.append(bi / np.linalg.norm(bi))
-            # both side problems share the eigenvalue (c_j.x)/(c_j.y)
-            mismatch = abs(la[i] - lb[pairing[i]])
-            residuals.append(float(mismatch / max(abs(la[i]), 1e-300)))
-
-        A = np.column_stack(a_cols)
-        B = np.column_stack(b_cols)
+        # a real decomposition has the real eigenvalues (c_j.x)/(c_j.y)
+        residuals = (np.abs(la.imag) / np.maximum(np.abs(la), 1e-300)).tolist()
         A, B, c_scaled, rounds = _als_refit(t.data, A, B)
 
         terms = []

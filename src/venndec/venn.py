@@ -55,10 +55,11 @@ class Region:
     weight: float
 
     def __post_init__(self):
-        pattern = tuple(int(b) for b in self.pattern)
+        # check before int(): int(0.7) would pass as 0, int(inf) would overflow
+        pattern = tuple(self.pattern)
         if any(b not in (0, 1) for b in pattern):
             raise ValueError(f"membership pattern must be 0/1, got {pattern}")
-        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "pattern", tuple(int(b) for b in pattern))
         w = float(self.weight)
         if not math.isfinite(w) or w < 0.0:
             raise ValueError(f"region weight must be finite and nonnegative, got {w}")
@@ -293,13 +294,17 @@ def reconstruct(
     a default of 0 (small n) is refused.
 
     Raises on rounding ambiguity: any averaged coordinate within tol of the
-    0.5 threshold is refused rather than silently rounded.
+    0.5 threshold is refused rather than silently rounded.  tol must lie in
+    [0, 0.5): a negative or NaN tol would switch the refusal off, and
+    tol >= 0.5 would refuse every input.
 
     A closing check compares the recovered diagram's intersection tensor with
     the observed one and raises ValueError when they differ anywhere by more
     than 2 * epsilon_inf + 1e-9 * max|T_obs|: the true diagram fits within
     epsilon_inf, so a diagram that does not fit within twice that is wrong.
     """
+    if not 0.0 <= tol < 0.5:
+        raise ValueError(f"rounding tolerance must lie in [0, 0.5), got {tol}")
     ell = t_obs.order
     if ell < 3:
         raise ValueError(f"reconstruction needs order >= 3 measurements, got {ell}")

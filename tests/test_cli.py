@@ -1,17 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import venndec
 from venndec import cli
+
+# the directory this process imports venndec from, so that a child process
+# runs the same package whether or not it is installed
+_PACKAGE_ROOT = str(Path(venndec.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "venndec.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -212,3 +221,24 @@ def test_error_exit_codes(tmp_path):
     r = run_cli("reconstruct", "--input", str(tensor))
     assert r.returncode == 1
     assert r.stderr == "error: default m_max is 0 at n=5, ell=3; pass m_max (--m-max)\n"
+
+
+@pytest.mark.parametrize("entry", ["0.7", "Infinity"])
+def test_diff_rejects_a_non_binary_membership(entry, capsys):
+    # 0.7 used to truncate to 0 and match; Infinity died with OverflowError
+    bad = '{"n": 2, "regions": [{"chi": [%s, 1], "w": 1.0}]}' % entry
+    good = '{"n": 2, "regions": [{"chi": [0, 1], "w": 1.0}]}'
+    assert cli.main(["diff", bad, good]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: membership pattern must be 0/1"), err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0.5"])
+def test_reconstruct_rejects_a_bad_tol(tmp_path, tol, capsys):
+    tensor = tmp_path / "t.json"
+    diagram = '{"n": 6, "regions": [{"chi": [1, 0, 1, 0, 1, 1], "w": 2.0}]}'
+    assert cli.main(["tensorize", "--input", diagram, "--ell", "3", "--out", str(tensor)]) == 0
+    out = tmp_path / "r.json"
+    assert cli.main(["reconstruct", "--input", str(tensor), "--m-max", "1", "--tol", tol, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: rounding tolerance must lie in [0, 0.5)")
+    assert not out.exists()

@@ -107,6 +107,25 @@ def test_jennrich_residual_tracks_noise():
     assert res[2] <= 10.0 * 1e-4
 
 
+def test_jennrich_residual_is_zero_on_an_exact_real_tensor():
+    rng = generator(6, "real-pencil")
+    _, _, t = random_terms(rng, (7, 6, 5), 4)
+    result = jennrich(t, 4, seed=1)
+    assert result.max_residual == 0.0
+    assert all(term.residual == 0.0 for term in result.terms)
+
+
+def test_jennrich_residual_flags_a_tensor_without_a_real_rank_two_fit():
+    # slices I and a 90-degree rotation: the pencil's eigenvalues are +-i, so
+    # no real a_j, b_j diagonalize it
+    data = np.zeros((2, 2, 2))
+    data[:, :, 0] = np.eye(2)
+    data[:, :, 1] = [[0.0, -1.0], [1.0, 0.0]]
+    result = jennrich(Tensor(data), 2, seed=0)
+    assert result.max_residual > 0.1
+    assert all(term.residual > 0.1 for term in result.terms)
+
+
 def test_jennrich_scale_invariance():
     rng = generator(3, "scaleinv")
     _, _, t = random_terms(rng, (5, 5, 5), 3)

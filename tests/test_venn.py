@@ -41,12 +41,18 @@ def random_diagram(n, m, seed):
 
 
 def test_region_validation():
-    with pytest.raises(ValueError, match="0/1"):
-        Region((1, 2), 1.0)
+    # entries are checked before int(), which would truncate 0.7 to 0
+    for bad in ((1, 2), (0.7, 1), (1, float("inf")), (float("nan"), 0), (-1, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="0/1"):
+            Region(bad, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         Region((1, 0), -0.5)
     with pytest.raises(ValueError):
         Region((1,), float("nan"))
+    for ok in ((1.0, 0.0), (True, False), (np.float64(1.0), np.int64(0))):
+        r = Region(ok, 1.0)
+        assert r.pattern == (1, 0)
+        assert all(type(b) is int for b in r.pattern)
 
 
 def test_diagram_validation():
@@ -261,6 +267,18 @@ def test_reconstruct_rejects_rounding_ambiguity():
         reconstruct(MeasurementTensor(Tensor(data)), m_max=1)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), 0.5, 1.0])
+def test_reconstruct_rejects_tol_outside_zero_to_half(tol):
+    v = random_diagram(18, 4, seed=5)
+    with pytest.raises(ValueError, match="rounding tolerance"):
+        reconstruct(intersection_tensor(v, 3), m_max=6, tol=tol)
+
+
+def test_reconstruct_accepts_zero_tol():
+    v = random_diagram(18, 4, seed=5)
+    assert diagram_diff(v, reconstruct(intersection_tensor(v, 3), m_max=6, tol=0.0)).exact_match
+
+
 def test_reconstruct_rejects_low_order_and_bad_m_max():
     v = random_diagram(4, 2, seed=7)
     with pytest.raises(ValueError, match="order"):
@@ -278,6 +296,33 @@ def test_reconstruct_noisy_weights_close():
     d = diagram_diff(v, got)
     assert not d.only_in_first and not d.only_in_second
     assert d.weight_l1 <= 1e-4
+
+
+@pytest.mark.parametrize("n, ell, m", [(8, 6, 6), (6, 7, 4)])
+def test_reconstruct_roundtrip_at_order_six_and_seven(n, ell, m):
+    # the halves grouping splits a three-mode block at ell >= 6
+    for seed in range(3):
+        v = random_diagram(n, m, seed=100 + seed)
+        assert np.linalg.matrix_rank(v.columns()) == m
+        got = reconstruct(intersection_tensor(v, ell), m_max=m)
+        d = diagram_diff(v, got)
+        assert d.exact_match, (seed, d.to_json_dict())
+
+
+def test_reconstruct_refuses_a_rank_deficient_roundtrip_draw():
+    # the first draw of a roundtrip trial at criterion 07's shape (n=30,
+    # ell=3, m=20, bit-flip q=0.2) that perfbench's roundtrip-l3 makes at
+    # seed 0, op 906: its 20 patterns span only 19 dimensions, so the tensor
+    # has rank 19 and no 19-term decomposition holds all 20 regions
+    n, ell, m = 30, 3, 20
+    x = perturb_memberships(MembershipMatrix(np.ones((n, m)), n), BitFlip(0.2), 8176829476780468043)
+    truth = VennDiagram.from_columns(x.X, merge_duplicates=True)
+    assert truth.m == m
+    assert np.linalg.matrix_rank(truth.columns()) == m - 1
+    t = intersection_tensor(truth, ell)
+    assert rank_detect(t.tensor, m) == m - 1
+    with pytest.raises(ValueError, match="closing check failed"):
+        reconstruct(t, m_max=m)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-1])
