@@ -9,7 +9,8 @@ Four experiment kinds:
   the distance of a random perturbed rank-one point, against the threshold
   (delta/sqrt(n))^ell and the bound (1 + n + ... + n^(ell-1)) * p^((1-c) n).
 * ``roundtrip``: perturb an adversarial all-ones membership base, measure all
-  ell-wise intersections, reconstruct, and compare diagrams exactly.
+  ell-wise intersections plus noise of size eps, reconstruct, and compare
+  diagrams; weights must match to max(1e-8, eps).
 * ``soft_model``: realize a graph in the soft model repeatedly and verify all
   pairwise constraints.
 
@@ -24,15 +25,16 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.linalg import svdvals
 
 from .assemblies import AssemblyParams, AssociationGraph, soft_realize, verify_representation
 from .echelon import BranchingSpec, SubspaceBasis, build_echelon_tree, certify_distance, orthogonal_complement, verify_echelon
-from .perturb import MembershipMatrix, model_from_json_dict, nondet_params, perturb_memberships
+from .perturb import MembershipMatrix, NondetParams, model_from_json_dict, nondet_params, perturb_memberships
 from .rng import generator, spawn_seed
 from .tensor import khatri_rao
 from .venn import VennDiagram, add_measurement_noise, diagram_diff, intersection_tensor, reconstruct
@@ -85,10 +87,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {_KINDS}")
-        if int(self.trials) < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, low in (("trials", 1), ("seed", 0)):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
+            object.__setattr__(self, name, int(val))
         if self.model is not None:
             object.__setattr__(self, "model", dict(self.model))
 
@@ -162,14 +165,28 @@ def echelon_bound(n: int, ell: int, c: float, p: float) -> float:
     return float(sum(n ** k for k in range(ell)) * p ** ((1.0 - c) * n))
 
 
-def _rate_summary(failures: int, trials: int) -> dict:
-    rate = failures / trials
-    half = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
-    return {
+def _run_trials(cfg: ExperimentConfig, trial: Callable[[int], dict]) -> tuple[list[dict], dict]:
+    """Record ``{"trial": t, "seed": seed_t, **trial(seed_t)}`` for every trial.
+
+    Returns the records and the summary of their ``failure`` fields.
+    """
+    records = []
+    for t in range(cfg.trials):
+        seed_t = spawn_seed(cfg.seed, "trial", t)
+        records.append({"trial": t, "seed": seed_t, **trial(seed_t)})
+    failures = sum(rec["failure"] for rec in records)
+    rate = failures / cfg.trials
+    half = 3.0 * math.sqrt(rate * (1.0 - rate) / cfg.trials)
+    summary = {
         "failures": failures,
         "failure_rate": rate,
         "rate_ci_3sigma": [max(0.0, rate - half), min(1.0, rate + half)],
     }
+    return records, summary
+
+
+def _bound_summary(params: NondetParams, bound: float) -> dict:
+    return {"delta": params.delta, "p": params.p, "bound": bound, "bound_vacuous": not bound < 1.0}
 
 
 def _require(cfg: ExperimentConfig, *names: str):
@@ -187,35 +204,15 @@ def run_sigma_min_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     model = model_from_json_dict(cfg.model)
     params = nondet_params(model, n, delta_request=cfg.delta)
     threshold = (params.delta / n) ** ell
-    bound = sigma_min_bound(n, ell, c, params.p)
+    base = MembershipMatrix(np.ones((ell * n, m)), n)
 
-    records = []
-    failures = 0
-    for t in range(cfg.trials):
-        seed_t = spawn_seed(cfg.seed, "trial", t)
-        base = MembershipMatrix(np.ones((ell * n, m)), n)
+    def trial(seed_t: int) -> dict:
         x = perturb_memberships(base, model, seed_t)
         sigma = float(svdvals(khatri_rao(x.X.reshape(ell, n, m)))[-1])
-        failure = sigma < threshold
-        failures += failure
-        records.append(
-            {
-                "trial": t,
-                "seed": seed_t,
-                "statistic": sigma,
-                "threshold": threshold,
-                "failure": bool(failure),
-            }
-        )
-    summary = _rate_summary(failures, cfg.trials)
-    summary.update(
-        {
-            "delta": params.delta,
-            "p": params.p,
-            "bound": bound,
-            "bound_vacuous": not bound < 1.0,
-        }
-    )
+        return {"statistic": sigma, "threshold": threshold, "failure": bool(sigma < threshold)}
+
+    records, summary = _run_trials(cfg, trial)
+    summary.update(_bound_summary(params, sigma_min_bound(n, ell, c, params.p)))
     return ExperimentReport(cfg, tuple(records), summary)
 
 
@@ -230,49 +227,29 @@ def run_echelon_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     model = model_from_json_dict(cfg.model)
     params = nondet_params(model, n, delta_request=cfg.delta)
     threshold = (params.delta / math.sqrt(n)) ** ell
-    bound = echelon_bound(n, ell, c, params.p)
     spec = BranchingSpec((1.0 - c,) * ell)
+    base = MembershipMatrix(np.ones((ell * n, 1)), n)
+    betas = []  # branchings of the second-level nodes of all trees; height 1 has none
 
-    records = []
-    failures = 0
-    verified = 0
-    min_branching = math.inf
-    for t in range(cfg.trials):
-        seed_t = spawn_seed(cfg.seed, "trial", t)
+    def trial(seed_t: int) -> dict:
         rng = generator(seed_t, "subspace")
         v = SubspaceBasis.from_span(rng.standard_normal((ambient, dim_v)), (n,) * ell)
-        w = orthogonal_complement(v)
-        tree, trace = build_echelon_tree(w, spec)
-        ok = verify_echelon(tree, tolerance=1e-9).ok
-        verified += ok
-
-        base = MembershipMatrix(np.ones((ell * n, 1)), n)
+        tree, trace = build_echelon_tree(orthogonal_complement(v), spec)
+        betas.extend(r.beta for r in trace.records)
         x = perturb_memberships(base, model, seed_t)
-        chis = [x.X[k * n : (k + 1) * n, 0] for k in range(ell)]
-        cert = certify_distance(tree, chis)
-        failure = cert < threshold
-        failures += failure
-        min_branching = min(min_branching, min(r.beta for r in trace.records))
-        records.append(
-            {
-                "trial": t,
-                "seed": seed_t,
-                "statistic": cert,
-                "threshold": threshold,
-                "failure": bool(failure),
-                "tree_verified": bool(ok),
-            }
-        )
-    summary = _rate_summary(failures, cfg.trials)
-    summary.update(
-        {
-            "delta": params.delta,
-            "p": params.p,
-            "bound": bound,
-            "bound_vacuous": not bound < 1.0,
-            "trees_verified": verified,
-            "min_level2_branching": min_branching,
+        cert = certify_distance(tree, [x.X[k * n : (k + 1) * n, 0] for k in range(ell)])
+        return {
+            "statistic": cert,
+            "threshold": threshold,
+            "failure": bool(cert < threshold),
+            "tree_verified": bool(verify_echelon(tree, tolerance=1e-9).ok),
         }
+
+    records, summary = _run_trials(cfg, trial)
+    summary.update(
+        _bound_summary(params, echelon_bound(n, ell, c, params.p)),
+        trees_verified=sum(rec["tree_verified"] for rec in records),
+        min_level2_branching=min(betas, default=None),
     )
     return ExperimentReport(cfg, tuple(records), summary)
 
@@ -284,52 +261,28 @@ def run_roundtrip_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     eps = cfg.eps if cfg.eps is not None else 0.0
     m_max = cfg.m_max if cfg.m_max is not None else m
     model = model_from_json_dict(cfg.model)
+    base = MembershipMatrix(np.ones((n, m)), n)
+    # noise of size eps moves right weights by a fraction of eps, so weights
+    # fail only when they miss by more than that
+    weight_tol = max(_MATCH_TOL, eps)
 
-    records = []
-    failures = 0
-    pattern_matches = 0
-    for t in range(cfg.trials):
-        seed_t = spawn_seed(cfg.seed, "trial", t)
-        base = MembershipMatrix(np.ones((n, m)), n)
+    def trial(seed_t: int) -> dict:
         x = perturb_memberships(base, model, seed_t)
         truth = VennDiagram.from_columns(x.X, merge_duplicates=True)
         t_obs = add_measurement_noise(intersection_tensor(truth, ell), eps, seed=seed_t)
-        rec: dict = {"trial": t, "seed": seed_t, "threshold": _MATCH_TOL}
         try:
             recovered = reconstruct(t_obs, m_max=m_max, seed=seed_t)
-            diff = diagram_diff(truth, recovered, weight_tol=_MATCH_TOL)
-            patterns_match = not diff.only_in_first and not diff.only_in_second
-            pattern_matches += patterns_match
-            failure = not diff.exact_match
-            rec.update(
-                {
-                    "statistic": diff.weight_l1,
-                    "failure": bool(failure),
-                    "exact_match": diff.exact_match,
-                    "patterns_match": patterns_match,
-                }
-            )
+            diff = diagram_diff(truth, recovered, weight_tol=weight_tol)
         except ValueError as exc:
-            failure = True
-            rec.update(
-                {
-                    "statistic": None,
-                    "failure": True,
-                    "exact_match": False,
-                    "patterns_match": False,
-                    "error": str(exc),
-                }
-            )
-        failures += failure
-        records.append(rec)
-    summary = _rate_summary(failures, cfg.trials)
-    summary.update(
-        {
-            "eps": eps,
-            "exact_rate": 1.0 - summary["failure_rate"],
-            "pattern_match_rate": pattern_matches / cfg.trials,
-        }
-    )
+            return dict(threshold=weight_tol, statistic=None, failure=True, exact_match=False,
+                        patterns_match=False, error=str(exc))
+        return dict(threshold=weight_tol, statistic=diff.weight_l1, failure=not diff.exact_match,
+                    exact_match=diff.exact_match,
+                    patterns_match=not diff.only_in_first and not diff.only_in_second)
+
+    records, summary = _run_trials(cfg, trial)
+    summary.update(eps=eps, exact_rate=1.0 - summary["failure_rate"],
+                   pattern_match_rate=sum(rec["patterns_match"] for rec in records) / cfg.trials)
     return ExperimentReport(cfg, tuple(records), summary)
 
 
@@ -345,40 +298,27 @@ def run_soft_model_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     g = _parse_graph(cfg.graph)
     params = AssemblyParams(N=cfg.N, K=cfg.K, a=cfg.a, b=cfg.b)
     margin = cfg.margin if cfg.margin is not None else 0.4
-
-    records = []
-    failures = 0
     by_kind = {"edge": 0, "non_edge": 0, "size": 0}
-    for t in range(cfg.trials):
-        seed_t = spawn_seed(cfg.seed, "trial", t)
+
+    def trial(seed_t: int) -> dict:
         family, _ = soft_realize(g, params, seed=seed_t, margin=margin)
         report = verify_representation(g, family, params, size_mode="expected")
-        failure = not report.ok
-        failures += failure
         for v in report.violations:
             by_kind[v.kind] += 1
         edge_inters = [
             int(np.intersect1d(family.sets[u], family.sets[v], assume_unique=True).size)
             for u, v in g.sorted_edges()
         ]
-        records.append(
-            {
-                "trial": t,
-                "seed": seed_t,
-                "statistic": float(min(edge_inters)) if edge_inters else 0.0,
-                "threshold": float(params.a),
-                "failure": bool(failure),
-                "violations": len(report.violations),
-            }
-        )
-    summary = _rate_summary(failures, cfg.trials)
-    summary.update(
-        {
-            "margin": margin,
-            "all_constraints_rate": 1.0 - summary["failure_rate"],
-            "violations_by_kind": by_kind,
+        return {
+            "statistic": float(min(edge_inters)) if edge_inters else 0.0,
+            "threshold": float(params.a),
+            "failure": not report.ok,
+            "violations": len(report.violations),
         }
-    )
+
+    records, summary = _run_trials(cfg, trial)
+    summary.update(margin=margin, all_constraints_rate=1.0 - summary["failure_rate"],
+                   violations_by_kind=by_kind)
     return ExperimentReport(cfg, tuple(records), summary)
 
 

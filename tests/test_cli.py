@@ -184,6 +184,25 @@ def test_experiment_outputs_reproduce(tmp_path):
     assert r.stdout.splitlines()[0] == "trial,seed,statistic,threshold,failure"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("trials", 2.7, "trials must be an integer >= 1, got 2.7"),
+        ("trials", True, "trials must be an integer >= 1, got True"),
+        ("seed", -3, "seed must be an integer >= 0, got -3"),
+    ],
+)
+def test_experiment_config_errors_exit_1(field, value, message, capsys):
+    cfg = {
+        "kind": "sigma_min", "trials": 2, "seed": 1,
+        "n": 8, "ell": 2, "m": 4, "c": 0.5,
+        "model": {"model": "bitflip", "q": 0.5},
+        field: value,
+    }
+    assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_memory_error_is_an_error_line(tmp_path, monkeypatch, capsys):
     def too_large(v, ell):
         raise MemoryError("Unable to allocate 21.7 GiB for an array")

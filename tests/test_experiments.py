@@ -10,6 +10,7 @@ from venndec.experiments import (
     run_sigma_min_experiment,
     sigma_min_bound,
 )
+from venndec.rng import spawn_seed
 
 BITFLIP_HALF = {"model": "bitflip", "q": 0.5}
 
@@ -28,6 +29,16 @@ def test_config_rejects_unknown_fields_and_kind():
         ExperimentConfig(kind="quantum", trials=1, seed=0)
     with pytest.raises(ValueError, match="trials"):
         ExperimentConfig(kind="sigma_min", trials=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.7), ("trials", True), ("trials", "3"), ("seed", -3), ("seed", 1.0), ("seed", False)],
+)
+def test_config_rejects_non_integer_trials_and_seed(field, value):
+    obj = {"kind": "sigma_min", "trials": 2, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig.from_json_dict(obj)
 
 
 def test_bound_formulas_frozen_values():
@@ -78,6 +89,35 @@ def test_echelon_experiment_small():
         assert rec["statistic"] >= 0.0
 
 
+SMALL_CONFIGS = {
+    "sigma_min": dict(n=8, ell=2, m=4, c=0.5, model=BITFLIP_HALF),
+    "echelon": dict(n=4, ell=2, c=0.5, model=BITFLIP_HALF),
+    "roundtrip": dict(n=12, ell=3, m=2, m_max=1, model=BITFLIP_HALF),
+    "soft_model": dict(graph="cycle:4", K=500, a=40, b=10, N=10**5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_every_kind_records_trial_seeds_and_counts_failures(kind):
+    cfg = ExperimentConfig(kind=kind, trials=3, seed=4, **SMALL_CONFIGS[kind])
+    report = run_experiment(cfg)
+    assert [rec["trial"] for rec in report.records] == [0, 1, 2]
+    for t, rec in enumerate(report.records):
+        assert rec["seed"] == spawn_seed(cfg.seed, "trial", t)
+        assert {"statistic", "threshold", "failure"} <= set(rec)
+        assert isinstance(rec["failure"], bool)
+    assert report.summary["failures"] == sum(rec["failure"] for rec in report.records)
+    assert report.summary["failure_rate"] == report.summary["failures"] / 3
+
+
+def test_echelon_experiment_height_one_has_no_level2_branching():
+    cfg = ExperimentConfig(kind="echelon", trials=2, seed=1, n=6, ell=1, c=0.5, model=BITFLIP_HALF)
+    report = run_experiment(cfg)
+    assert report.summary["min_level2_branching"] is None
+    assert report.summary["trees_verified"] == 2
+    assert '"min_level2_branching": null' in report_json_text(report)
+
+
 def test_roundtrip_experiment_small():
     cfg = ExperimentConfig(
         kind="roundtrip", trials=3, seed=1, n=18, ell=3, m=2, m_max=2, model=BITFLIP_HALF
@@ -101,6 +141,23 @@ def test_roundtrip_experiment_fair_flips_all_exact(n, ell, m, trials, seed):
     report = run_roundtrip_experiment(cfg)
     assert report.summary["failures"] == 0, [r for r in report.records if r["failure"]]
     assert all(r["exact_match"] for r in report.records)
+
+
+def test_roundtrip_experiment_allows_for_measurement_noise():
+    # noise of size eps moves the recovered weights by a fraction of eps;
+    # with every pattern right, that is not a failure
+    eps = 1e-3
+    cfg = ExperimentConfig(
+        kind="roundtrip", trials=3, seed=2, n=8, ell=4, m=4,
+        model={"model": "bitflip", "q": 0.3}, eps=eps,
+    )
+    report = run_roundtrip_experiment(cfg)
+    for rec in report.records:
+        assert rec["threshold"] == eps
+        assert rec["patterns_match"] and 0.0 < rec["statistic"] <= eps
+        assert not rec["failure"] and rec["exact_match"]
+    assert report.summary["failures"] == 0
+    assert report.summary["exact_rate"] == 1.0
 
 
 def test_roundtrip_experiment_counts_errors_as_failures():
