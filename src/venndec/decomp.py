@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack, orth, pinv, qr, svdvals
 
 from .rng import generator
-from .tensor import Tensor, group, khatri_rao, outer
+from .tensor import Tensor, frozen_array, group, khatri_rao, outer
 
 __all__ = [
     "RankOneTerm",
@@ -68,12 +69,7 @@ class RankOneTerm:
     residual: float
 
     def __post_init__(self):
-        fixed = []
-        for f in self.factors:
-            arr = np.ascontiguousarray(np.asarray(f, dtype=float).ravel())
-            arr.flags.writeable = False
-            fixed.append(arr)
-        object.__setattr__(self, "factors", tuple(fixed))
+        object.__setattr__(self, "factors", tuple(frozen_array(np.ravel(f)) for f in self.factors))
 
     @property
     def order(self) -> int:
@@ -85,30 +81,47 @@ class RankOneTerm:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    """Recovered terms plus residual diagnostics.
-
-    ``max_residual`` is the worst per-term diagnostic; ``recon_residual`` is
-    the global misfit ||T - sum of terms||_F against the decomposed tensor;
-    ``polish_rounds`` is how many ALS rounds the polish ran.
+    """Factor matrices, one n_k x m per mode with unit columns signed as
+    ``RankOneTerm``'s factors are, and the m ``scales`` and per-term
+    ``residuals``, in order of decreasing |scale|; ``terms`` views them as
+    one ``RankOneTerm`` per term.  ``recon_residual`` is ||T - sum of terms||_F
+    against the decomposed tensor; ``polish_rounds`` counts ALS rounds.
     """
 
-    terms: tuple[RankOneTerm, ...]
-    max_residual: float
+    factors: tuple[np.ndarray, ...]
+    scales: np.ndarray
+    residuals: np.ndarray
     recon_residual: float
     polish_rounds: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(frozen_array(F) for F in self.factors))
+        object.__setattr__(self, "scales", frozen_array(self.scales))
+        object.__setattr__(self, "residuals", frozen_array(self.residuals))
+
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return len(self.scales)
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.residuals, initial=0.0))
+
+    @cached_property
+    def terms(self) -> tuple[RankOneTerm, ...]:
+        return tuple(
+            RankOneTerm(tuple(F[:, j] for F in self.factors), float(s), float(r))
+            for j, (s, r) in enumerate(zip(self.scales, self.residuals))
+        )
 
 
-def _fix_sign(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Flip so the first coordinate of non-negligible magnitude is positive."""
-    thresh = 1e-8 * np.max(np.abs(v)) if v.size else 0.0
-    for x in v:
-        if abs(x) > thresh:
-            return (v, 1.0) if x > 0 else (-v, -1.0)
-    return v, 1.0
+def _fix_signs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip each column of M so its first entry above 1e-8 of the column's
+    largest magnitude is positive; returns the flipped M and the signs."""
+    big = np.abs(M) > 1e-8 * np.max(np.abs(M), axis=0)
+    lead = M[np.argmax(big, axis=0), np.arange(M.shape[1])]
+    signs = np.where(big.any(axis=0) & (lead < 0), -1.0, 1.0)
+    return M * signs, signs
 
 
 def _unit_columns(M: np.ndarray) -> np.ndarray:
@@ -226,27 +239,21 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
             continue  # eigenvalue collision, retry with fresh probes
 
         # a real decomposition has the real eigenvalues (c_j.x)/(c_j.y)
-        residuals = (np.abs(la.imag) / np.maximum(np.abs(la), 1e-300)).tolist()
+        residuals = np.abs(la.imag) / np.maximum(np.abs(la), 1e-300)
         A, B, c_scaled, rounds = _als_refit(t.data, A, B)
+        # the polished factors fit the mode-3 unfolding; the sign flips cancel
+        recon = float(np.linalg.norm(t.data.reshape(n1 * n2, n3) - khatri_rao([A, B]) @ c_scaled))
 
-        terms = []
-        for i in range(m):
-            ai, sa = _fix_sign(A[:, i])
-            bi, sb = _fix_sign(B[:, i])
-            ci = c_scaled[i, :] * (sa * sb)
-            w = float(np.linalg.norm(ci))
-            if w > 0:
-                ci = ci / w
-            ci, csign = _fix_sign(ci)
-            terms.append(RankOneTerm((ai, bi, ci), scale=w * csign, residual=residuals[i]))
-        terms.sort(key=lambda term: -abs(term.scale))
-        return DecompositionResult(
-            tuple(terms),
-            max_residual=max(residuals, default=0.0),
-            # the polished factors fit the mode-3 unfolding; the sign flips cancel
-            recon_residual=float(np.linalg.norm(t.data.reshape(n1 * n2, n3) - khatri_rao([A, B]) @ c_scaled)),
-            polish_rounds=rounds,
-        )
+        A, sa = _fix_signs(A)
+        B, sb = _fix_signs(B)
+        c_rows = c_scaled * (sa * sb)[:, None]
+        # vecdot of contiguous rows is each row's own dot product, as a
+        # vector norm takes it; a norm along an axis sums in another order
+        w = np.sqrt(np.vecdot(c_rows, c_rows))
+        C, csign = _fix_signs((c_rows / np.where(w > 0, w, 1.0)[:, None]).T)
+        order = np.argsort(-w, kind="stable")
+        factors = (A[:, order], B[:, order], C[:, order])
+        return DecompositionResult(factors, (w * csign)[order], residuals[order], recon, rounds)
 
     raise ValueError(
         f"eigenvalues kept colliding across {_MAX_PROBE_RETRIES} probe draws "
@@ -296,8 +303,8 @@ def factor_rank_one(matrix_or_tensor: np.ndarray) -> tuple[list[np.ndarray], flo
     factors.append(rest / scale)
 
     for mode in range(R.ndim):
-        factors[mode], sgn = _fix_sign(factors[mode])
-        scale *= sgn
+        col, sgn = _fix_signs(factors[mode][:, None])
+        factors[mode], scale = col[:, 0], scale * float(sgn[0])
     approx = scale * outer(factors).data
     residual = float(np.linalg.norm(R - approx) / nf)
     return factors, scale, residual
@@ -318,31 +325,18 @@ def recover_rank_one_terms(t: Tensor, m: int, seed: int = 0) -> DecompositionRes
     gt, sizes = _group_for_jennrich(t)
     base = jennrich(gt, m, seed=seed)
 
-    terms: list[RankOneTerm] = []
-    for term in base.terms:
-        split_factors: list[np.ndarray] = []
-        worst = term.residual
-        scale = term.scale
-        start = 0
-        for gi, size in enumerate(sizes):
-            shape = t.dims[start : start + size]
-            start += size
-            if size == 1:
-                split_factors.append(term.factors[gi])
-                continue
-            fs, s, res = factor_rank_one(term.factors[gi].reshape(shape))
-            split_factors.extend(np.asarray(f) for f in fs)
-            scale *= s
-            worst = max(worst, res)
-        terms.append(RankOneTerm(tuple(split_factors), scale=scale, residual=worst))
-    F = [np.column_stack(fs) for fs in zip(*(term.factors for term in terms))]
-    approx = khatri_rao(F[:-1]) @ (F[-1] * [term.scale for term in terms]).T
-    return DecompositionResult(
-        tuple(terms),
-        max_residual=max((t_.residual for t_ in terms), default=0.0),
-        recon_residual=float(np.linalg.norm(t.data.reshape(approx.shape) - approx)),
-        polish_rounds=base.polish_rounds,
-    )
+    F: list[np.ndarray] = []
+    scales, residuals = base.scales, base.residuals
+    for block, size, end in zip(base.factors, sizes, np.cumsum(sizes)):
+        if size == 1:
+            F.append(block)
+            continue
+        fs, s, res = zip(*(factor_rank_one(col.reshape(t.dims[end - size : end])) for col in block.T))
+        F.extend(np.column_stack(mode) for mode in zip(*fs))
+        scales, residuals = scales * s, np.maximum(residuals, res)
+    approx = khatri_rao(F[:-1]) @ (F[-1] * scales).T
+    recon = float(np.linalg.norm(t.data.reshape(approx.shape) - approx))
+    return DecompositionResult(tuple(F), scales, residuals, recon, base.polish_rounds)
 
 
 def leave_one_out_distances(a: np.ndarray) -> np.ndarray:
@@ -396,9 +390,7 @@ class ConditionReport:
     max_column_norm: float
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.leave_one_out, dtype=float))
-        arr.flags.writeable = False
-        object.__setattr__(self, "leave_one_out", arr)
+        object.__setattr__(self, "leave_one_out", frozen_array(self.leave_one_out))
 
     def to_json_dict(self) -> dict:
         def finite_or_none(x):

@@ -41,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 from scipy.linalg import lapack, null_space, qr, svdvals
 
-from .tensor import Tensor, khatri_rao
+from .tensor import Tensor, frozen_array, khatri_rao
 
 __all__ = [
     "SubspaceBasis",
@@ -79,7 +79,7 @@ class SubspaceBasis:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        arr = np.ascontiguousarray(np.asarray(self.vectors, dtype=float))
+        arr = frozen_array(self.vectors)
         if arr.ndim != 2:
             raise ValueError(f"basis must be a 2-D column matrix, got shape {arr.shape}")
         ambient = math.prod(dims)
@@ -91,7 +91,6 @@ class SubspaceBasis:
             gram = arr.T @ arr
             if not np.allclose(gram, np.eye(arr.shape[1]), atol=1e-8):
                 raise ValueError("basis columns are not orthonormal")
-        arr.flags.writeable = False
         object.__setattr__(self, "vectors", arr)
 
     @property

@@ -53,13 +53,21 @@ __all__ = [
     "report_csv_text",
 ]
 
-_KINDS = ("sigma_min", "echelon", "roundtrip", "soft_model")
+# the config fields each kind needs, and those it reads when they are set;
+# a kind rejects every other field, so a report never embeds an unread value
+_FIELDS = {
+    "sigma_min": (("n", "ell", "m", "c", "model"), ("delta",)),
+    "echelon": (("n", "ell", "c", "model"), ("delta",)),
+    "roundtrip": (("n", "ell", "m", "model"), ("eps", "m_max")),
+    "soft_model": (("graph", "K", "a", "b", "N"), ("margin",)),
+}
+_KINDS = tuple(_FIELDS)
 _MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters for one experiment; unused fields stay None.
+    """Parameters for one experiment; fields its kind does not read stay None.
 
     ``model`` is the perturbation model in its JSON form, e.g.
     {"model": "bitflip", "q": 0.5}.  ``graph`` is either "cycle:<k>" or
@@ -92,6 +100,14 @@ class ExperimentConfig:
             if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {val!r}")
             object.__setattr__(self, name, int(val))
+        required, optional = _FIELDS[self.kind]
+        missing = [name for name in required if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.kind} experiment needs config fields {missing}")
+        unread = [f.name for f in fields(self) if getattr(self, f.name) is not None
+                  and f.name not in ("kind", "trials", "seed", *required, *optional)]
+        if unread:
+            raise ValueError(f"{self.kind} experiment does not read config fields {unread}")
         if self.model is not None:
             object.__setattr__(self, "model", dict(self.model))
 
@@ -189,15 +205,8 @@ def _bound_summary(params: NondetParams, bound: float) -> dict:
     return {"delta": params.delta, "p": params.p, "bound": bound, "bound_vacuous": not bound < 1.0}
 
 
-def _require(cfg: ExperimentConfig, *names: str):
-    missing = [name for name in names if getattr(cfg, name) is None]
-    if missing:
-        raise ValueError(f"{cfg.kind} experiment needs config fields {missing}")
-
-
 def run_sigma_min_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Smallest singular value of perturbed flattened-outer-product columns."""
-    _require(cfg, "n", "ell", "m", "c", "model")
     n, ell, m, c = cfg.n, cfg.ell, cfg.m, cfg.c
     if m > (c * n) ** ell:
         raise ValueError(f"m={m} exceeds the (c*n)^ell = {(c * n) ** ell:.1f} column budget")
@@ -218,7 +227,6 @@ def run_sigma_min_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_echelon_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Distance certificates for perturbed rank-one points against random subspaces."""
-    _require(cfg, "n", "ell", "c", "model")
     n, ell, c = cfg.n, cfg.ell, cfg.c
     ambient = n ** ell
     dim_v = math.floor((c * n) ** ell + 1e-9)
@@ -256,7 +264,6 @@ def run_echelon_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_roundtrip_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Perturb, measure, reconstruct, compare; adversarial all-ones base."""
-    _require(cfg, "n", "ell", "m", "model")
     n, ell, m = cfg.n, cfg.ell, cfg.m
     eps = cfg.eps if cfg.eps is not None else 0.0
     m_max = cfg.m_max if cfg.m_max is not None else m
@@ -294,7 +301,6 @@ def _parse_graph(text: str) -> AssociationGraph:
 
 def run_soft_model_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Repeated soft realizations of a graph, verified in expected-size mode."""
-    _require(cfg, "graph", "K", "a", "b", "N")
     g = _parse_graph(cfg.graph)
     params = AssemblyParams(N=cfg.N, K=cfg.K, a=cfg.a, b=cfg.b)
     margin = cfg.margin if cfg.margin is not None else 0.4

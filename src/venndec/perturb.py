@@ -21,6 +21,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .rng import generator, spawn_seed
+from .tensor import frozen_array
 
 __all__ = [
     "BitFlip",
@@ -102,7 +103,7 @@ class MembershipMatrix:
     n: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.X, dtype=float))
+        arr = frozen_array(self.X)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"membership matrix must be 2-D and nonempty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -111,7 +112,6 @@ class MembershipMatrix:
             raise ValueError(
                 f"row count {arr.shape[0]} is not a multiple of block length {self.n}"
             )
-        arr.flags.writeable = False
         object.__setattr__(self, "X", arr)
 
     @property

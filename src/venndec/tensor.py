@@ -24,6 +24,25 @@ __all__ = [
 ]
 
 
+def frozen_array(x) -> np.ndarray:
+    """x as a read-only C-ordered float64 array that no one can write through.
+
+    An array that is read-only down to its base is kept, so that reshaping a
+    frozen array costs no copy; an array that is writable, or views one that
+    is, is copied.  Freshly converted input (a list, another dtype) is owned
+    already and only frozen.
+    """
+    arr = np.ascontiguousarray(x, dtype=float)
+    if arr is x or arr.base is not None:
+        base = arr
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
+            arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Dense real tensor of order >= 1 with finite entries."""
@@ -31,14 +50,13 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=float))
+        arr = frozen_array(self.data)
         if arr.ndim == 0:
             raise ValueError("tensor order must be >= 1")
         if any(s < 1 for s in arr.shape):
             raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -55,7 +73,8 @@ class Tensor:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "Tensor":
         dims = [int(d) for d in obj["dims"]]
-        entries = np.asarray(obj["entries"], dtype=float)
+        entries = np.array(obj["entries"], dtype=float)
+        entries.flags.writeable = False  # our own copy: Tensor keeps it uncopied
         if entries.size != math.prod(dims):
             raise ValueError(
                 f"entry count {entries.size} does not match dims {dims}"

@@ -145,9 +145,10 @@ class VennDiagram:
 class MeasurementTensor:
     """Symmetric order-ell intersection measurements, possibly noisy.
 
-    ``epsilon_inf`` bounds the entrywise measurement error; construction
-    checks symmetry under adjacent mode swaps within 2*epsilon_inf plus a
-    small relative slack.
+    ``epsilon_inf`` bounds the entrywise measurement error and must be
+    finite: a NaN or infinite bound would pass every check below and in
+    ``reconstruct``.  Construction checks symmetry under adjacent mode swaps
+    within 2*epsilon_inf plus a small relative slack.
     """
 
     tensor: Tensor
@@ -155,8 +156,8 @@ class MeasurementTensor:
 
     def __post_init__(self):
         eps = float(self.epsilon_inf)
-        if eps < 0.0:
-            raise ValueError(f"noise bound must be nonnegative, got {eps}")
+        if not math.isfinite(eps) or eps < 0.0:
+            raise ValueError(f"noise bound must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "epsilon_inf", eps)
         dims = self.tensor.dims
         if len(set(dims)) != 1:
@@ -197,7 +198,9 @@ def intersection_tensor(v: VennDiagram, ell: int) -> MeasurementTensor:
         raise ValueError(f"order must be >= 1, got {ell}")
     X = v.columns()
     kr = khatri_rao([v.weights()[None, :]] + [X] * (ell - 1))
-    return MeasurementTensor(Tensor((kr @ X.T).reshape((v.n,) * ell)))
+    unf = kr @ X.T
+    unf.flags.writeable = False  # read-only down to its base: Tensor keeps it uncopied
+    return MeasurementTensor(Tensor(unf.reshape((v.n,) * ell)))
 
 
 def _symmetrize(x: np.ndarray) -> np.ndarray:
@@ -219,8 +222,9 @@ def add_measurement_noise(t: MeasurementTensor, eps: float, seed: int = 0) -> Me
     if eps == 0.0:
         return t
     rng = generator(seed, "measure-noise")
-    sym = _symmetrize(rng.uniform(-eps, eps, size=t.tensor.dims))
-    return MeasurementTensor(Tensor(t.tensor.data + sym), epsilon_inf=t.epsilon_inf + eps)
+    noisy = t.tensor.data + _symmetrize(rng.uniform(-eps, eps, size=t.tensor.dims))
+    noisy.flags.writeable = False  # read-only: Tensor keeps it uncopied
+    return MeasurementTensor(Tensor(noisy), epsilon_inf=t.epsilon_inf + eps)
 
 
 def rank_detect(t: Tensor, m_max: int) -> int:
@@ -233,15 +237,6 @@ def rank_detect(t: Tensor, m_max: int) -> int:
     if lam[-1] <= 0.0:
         return 0
     return min(int(np.sum(lam > _RANK_RTOL * lam[-1])), m_max)
-
-
-def _normalize_estimate(v: np.ndarray) -> np.ndarray:
-    """Scale a factor so its largest-magnitude coordinate becomes exactly 1."""
-    k = int(np.argmax(np.abs(v)))
-    s = v[k]
-    if abs(s) <= 1e-12:
-        raise ValueError("degenerate factor: recovered direction is numerically zero")
-    return v / s
 
 
 def _default_m_max(n: int, ell: int) -> int:
@@ -281,11 +276,11 @@ def reconstruct(
     """Recover a diagram from its (possibly noisy) intersection tensor.
 
     Pipeline: detect the region count m from the mode-1 Gram, recover m
-    rank-one terms of the full tensor (``recover_rank_one_terms``), rescale
-    each of a term's ell factors so its largest entry is 1 and average them
-    into one estimate per coordinate, round at threshold 0.5, then refit
-    weights by nonnegative least squares against the observed tensor and
-    merge duplicate patterns.
+    rank-one terms of the full tensor (``recover_rank_one_terms``) as ell
+    n x m factor matrices, scale each column to a largest entry of 1 and
+    average the ell matrices into one estimate per coordinate and region,
+    round at threshold 0.5, then refit weights by nonnegative least squares
+    against the observed tensor and merge duplicate patterns.
 
     The region count is the rank of the n-row mode-1 unfolding, so it is at
     most n: a diagram with more than n regions is not recovered yet.
@@ -319,19 +314,20 @@ def reconstruct(
     if m == 0:
         return VennDiagram(n, ())  # rank_detect found an all-zero tensor
 
-    result = recover_rank_one_terms(t, m, seed=seed)
-    patterns: list[tuple[int, ...]] = []
-    for term in result.terms:
-        est = sum(_normalize_estimate(f) for f in term.factors) / ell
-        off = np.abs(est - 0.5)
-        if np.any(off <= tol):
-            bad = np.nonzero(off <= tol)[0]
-            raise ValueError(
-                f"rounding ambiguity: coordinates {bad.tolist()} land within {tol} of 0.5"
-            )
-        patterns.append(tuple(int(b) for b in (est > 0.5)))
+    factors = recover_rank_one_terms(t, m, seed=seed).factors
+    # each column's largest-magnitude entry, which scales it to a peak of 1
+    peaks = [F[np.argmax(np.abs(F), axis=0), np.arange(m)] for F in factors]
+    if np.any(np.abs(peaks) <= 1e-12):
+        raise ValueError("degenerate factor: recovered direction is numerically zero")
+    est = sum(F / p for F, p in zip(factors, peaks)) / ell
+    ambiguous = np.abs(est - 0.5) <= tol
+    if ambiguous.any():
+        bad = np.nonzero(ambiguous[:, ambiguous.any(axis=0).argmax()])[0]
+        raise ValueError(
+            f"rounding ambiguity: coordinates {bad.tolist()} land within {tol} of 0.5"
+        )
 
-    unique = sorted(set(p for p in patterns if any(p)))
+    unique = sorted(set(map(tuple, (est > 0.5).T.astype(int).tolist())) - {(0,) * n})
     regions: tuple[Region, ...] = ()
     if unique:
         w = _refit_weights(t.data, np.array(unique, dtype=float).T)

@@ -310,3 +310,21 @@ def test_reconstruct_rejects_a_bad_tol(tmp_path, tol, capsys):
     assert cli.main(["reconstruct", "--input", str(tensor), "--m-max", "1", "--tol", tol, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: rounding tolerance must lie in [0, 0.5)")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bound, message", [("0", "closing check failed"), ("NaN", "noise bound must be finite")])
+def test_reconstruct_refuses_a_tampered_tensor_whatever_its_bound(tmp_path, bound, message, capsys):
+    # a NaN bound used to switch off every check, and reconstruct returned
+    # pattern (1,0,0,0,0,0) with weight 6, which is not in the diagram
+    diagram = {"n": 6, "regions": [{"chi": [1, 0, 1, 0, 1, 0], "w": 1.0},
+                                   {"chi": [0, 1, 1, 0, 0, 1], "w": 2.0},
+                                   {"chi": [1, 1, 0, 1, 0, 0], "w": 3.0}]}
+    tensor = tmp_path / "t.json"
+    assert cli.main(["tensorize", "--input", json.dumps(diagram), "--ell", "3", "--out", str(tensor)]) == 0
+    obj = json.loads(tensor.read_text())
+    obj["entries"][0] += 5.0
+    tensor.write_text(json.dumps(obj).replace('"epsilon_inf": 0.0', f'"epsilon_inf": {bound}'))
+    out = tmp_path / "r.json"
+    assert cli.main(["reconstruct", "--input", str(tensor), "--m-max", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()

@@ -8,7 +8,10 @@ from scipy.linalg import pinv, subspace_angles, svdvals
 
 from venndec import decomp
 from venndec.decomp import (
+    ConditionReport,
+    RankOneTerm,
     _als_refit,
+    _fix_signs,
     _group_for_jennrich,
     _leading_subspace,
     condition_report,
@@ -328,6 +331,104 @@ def test_recover_order4_roundtrip():
         truth = scales[j] * outer([f[:, j] for f in factors]).data
         rel = np.linalg.norm(term.tensor().data - truth) / np.linalg.norm(truth)
         assert rel <= 1e-6
+
+
+# --- factor matrices and the terms view ----------------------------------------
+
+
+def _fix_sign_reference(v):
+    """The per-vector sign rule, one entry at a time: flip so the first
+    coordinate above 1e-8 of the largest magnitude is positive."""
+    thresh = 1e-8 * np.max(np.abs(v)) if v.size else 0.0
+    for x in v:
+        if abs(x) > thresh:
+            return (v, 1.0) if x > 0 else (-v, -1.0)
+    return v, 1.0
+
+
+@st.composite
+def sign_test_matrices(draw):
+    """Columns that are random, zero, or led by entries at, just below and
+    just above the 1e-8 * max threshold, with either sign."""
+    rows = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "at", "below", "above"]))
+        col = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=rows, max_size=rows)))
+        if kind == "zero":
+            col[:] = 0.0
+        elif kind != "random" and rows > 1:
+            col[-1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 1e3))
+            col[:-1] = np.clip(col[:-1], -abs(col[-1]), abs(col[-1]))
+            thresh = 1e-8 * abs(col[-1])
+            lead = {"at": thresh, "below": np.nextafter(thresh, 0.0), "above": np.nextafter(thresh, 1.0)}[kind]
+            k = draw(st.integers(0, rows - 2))
+            col[:k] = 0.0
+            col[k] = draw(st.sampled_from([-1.0, 1.0])) * lead
+        cols.append(col)
+    return np.column_stack(cols) if cols else np.zeros((rows, 0))
+
+
+@given(sign_test_matrices())
+def test_fix_signs_matches_the_per_vector_rule(M):
+    flipped, signs = _fix_signs(M)
+    assert flipped.shape == M.shape and signs.shape == (M.shape[1],)
+    for j in range(M.shape[1]):
+        ref, ref_sign = _fix_sign_reference(M[:, j].copy())
+        assert flipped[:, j].tobytes() == ref.tobytes()
+        assert signs[j] == ref_sign
+
+
+def _assert_terms_view_matches(result):
+    assert len(result.terms) == result.rank == len(result.scales) == len(result.residuals)
+    assert result.max_residual == max(term.residual for term in result.terms)
+    for F in result.factors:
+        np.testing.assert_allclose(np.linalg.norm(F, axis=0), 1.0, rtol=1e-12)
+    for j, term in enumerate(result.terms):
+        assert term.order == len(result.factors)
+        for f, F in zip(term.factors, result.factors):
+            assert f.tobytes() == F[:, j].tobytes()
+        assert term.scale == result.scales[j]
+        assert term.residual == result.residuals[j]
+    assert list(np.abs(result.scales)) == sorted(np.abs(result.scales), reverse=True)
+
+
+def test_jennrich_terms_view_the_factor_matrices():
+    rng = generator(21, "terms-view")
+    _, _, t = random_terms(rng, (6, 7, 5), 4)
+    noisy = Tensor(t.data + 1e-3 * rng.standard_normal(t.dims))
+    _assert_terms_view_matches(jennrich(noisy, 4, seed=3))
+
+
+def test_recover_terms_view_the_factor_matrices_at_order_5():
+    x = perturb_memberships(MembershipMatrix(np.ones((6, 4)), 6), BitFlip(0.5), seed=7).X
+    v = VennDiagram.from_columns(x, merge_duplicates=True)
+    t = add_measurement_noise(intersection_tensor(v, 5), 1e-3, seed=7).tensor
+    result = recover_rank_one_terms(t, v.m, seed=7)
+    assert [F.shape for F in result.factors] == [(6, v.m)] * 5
+    _assert_terms_view_matches(result)
+
+
+def test_decomposition_arrays_are_read_only():
+    result = jennrich(random_terms(generator(22, "read-only"), (5, 5, 5), 2)[2], 2)
+    for arr in (*result.factors, result.scales, result.residuals):
+        assert not arr.flags.writeable
+
+
+def test_rank_one_term_owns_its_factors():
+    f = np.array([1.0, 2.0, 3.0])
+    term = RankOneTerm((f, f[:2]), scale=1.0, residual=0.0)
+    f[0] = 5.0
+    assert term.factors[0][0] == 1.0 and term.factors[1][0] == 1.0
+    assert f.flags.writeable
+
+
+def test_condition_report_owns_its_leave_one_out_distances():
+    loo = np.array([0.5, 0.25])
+    rep = ConditionReport(0.25, 1.0, 4.0, loo, 0.25, None, 1.0)
+    loo[0] = np.inf
+    assert rep.leave_one_out[0] == 0.5
+    assert not rep.leave_one_out.flags.writeable
 
 
 # --- rank-one factorization --------------------------------------------------

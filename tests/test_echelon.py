@@ -565,3 +565,11 @@ def test_certify_rejects_bad_directions(chis, match):
     tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
     with pytest.raises(ValueError, match=match):
         certify_distance(tree, chis)
+
+
+def test_subspace_basis_owns_its_vectors():
+    flat = np.eye(4)[:, :2].ravel()
+    basis = SubspaceBasis((2, 2), flat.reshape(4, 2))
+    flat[0] = 7.0
+    assert basis.vectors[0, 0] == 1.0
+    assert flat.flags.writeable and not basis.vectors.flags.writeable

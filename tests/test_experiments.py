@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from venndec.experiments import (
@@ -182,9 +184,27 @@ def test_soft_model_experiment_summary():
 
 
 def test_missing_fields_are_reported():
-    cfg = ExperimentConfig(kind="soft_model", trials=1, seed=0, graph="cycle:3")
+    # a config is checked whole when it is built, before any trial runs
     with pytest.raises(ValueError, match="needs config fields"):
-        run_experiment(cfg)
+        ExperimentConfig(kind="soft_model", trials=1, seed=0, graph="cycle:3")
+
+
+# per kind: optional fields it reads, and fields it never reads (in field order)
+OPTIONAL = {"sigma_min": dict(delta=0.5), "echelon": dict(delta=0.5), "roundtrip": dict(eps=1e-3),
+            "soft_model": dict(margin=0.3)}
+UNREAD = {"sigma_min": dict(eps=1e-3, margin=0.3), "echelon": dict(m=3, m_max=2),
+          "roundtrip": dict(c=0.5, graph="cycle:3", margin=0.3), "soft_model": dict(n=4, eps=1e-3)}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_config_rejects_fields_its_kind_never_reads(kind):
+    # a roundtrip with c, graph and margin used to run, ignore all three and
+    # embed them in its report as if they had been used
+    ExperimentConfig(kind=kind, trials=1, seed=0, **SMALL_CONFIGS[kind], **OPTIONAL[kind])
+    obj = {"kind": kind, "trials": 1, "seed": 0, **SMALL_CONFIGS[kind], **UNREAD[kind]}
+    message = f"{kind} experiment does not read config fields {list(UNREAD[kind])}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json_dict(obj)
 
 
 def test_report_texts_deterministic():

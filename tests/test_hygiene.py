@@ -2,10 +2,13 @@
 
 Each module of ``venndec`` must use every name it imports and define every
 name in its ``__all__``.  ``__init__.py`` is skipped: its imports are the
-package's re-exports.
+package's re-exports.  Every name the benchmark's tracer wraps (``LAYERS`` in
+``perfbench/spans.py``, read here without importing it) must resolve on its
+``venndec`` module, so a rename shows up here and not only in a traced run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -28,13 +31,19 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _exported_names(tree: ast.Module) -> list[str]:
+def _assigned_value(tree: ast.Module, name: str) -> ast.expr | None:
+    """The value of the module-level assignment to ``name``, if there is one."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return [ast.literal_eval(elt) for elt in node.value.elts]
-    return []
+            return node.value
+    return None
+
+
+def _exported_names(tree: ast.Module) -> list[str]:
+    value = _assigned_value(tree, "__all__")
+    return [ast.literal_eval(elt) for elt in value.elts] if value else []
 
 
 def _defined_names(tree: ast.Module) -> set[str]:
@@ -63,3 +72,20 @@ def test_every_export_is_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = set(_exported_names(tree)) - _defined_names(tree)
     assert not missing, f"{path.name} lists undefined names in __all__: {sorted(missing)}"
+
+
+def test_every_benchmark_span_name_resolves():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    value = _assigned_value(ast.parse(path.read_text(), filename=str(path)), "LAYERS")
+    assert value is not None, f"{path} assigns no LAYERS"
+    layers = ast.literal_eval(value)
+    missing = []
+    for layer, names in layers.items():
+        module = importlib.import_module(f"venndec.{layer}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{layer}.{name}")
+    assert layers and not missing, f"benchmark spans name nothing in venndec: {missing}"

@@ -107,3 +107,11 @@ def test_empirical_check_flags_deterministic_model():
     assert report.max_rate == 1.0
     with pytest.raises(ValueError, match="trials"):
         empirical_nondet_check(BitFlip(0.5), base, delta=0.5, trials=10, seed=9)
+
+
+def test_membership_matrix_owns_its_columns():
+    X = np.ones((4, 2))
+    mm = MembershipMatrix(X, 4)
+    X[0, 0] = 5.0
+    assert mm.X[0, 0] == 1.0
+    assert X.flags.writeable and not mm.X.flags.writeable

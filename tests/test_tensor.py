@@ -15,6 +15,24 @@ from venndec.tensor import (
 )
 
 
+def test_tensor_owns_its_data():
+    base = np.zeros(8)
+    t = Tensor(base.reshape(2, 2, 2))
+    base[0] = np.inf  # must not reach t.data past the finiteness check
+    assert np.all(np.isfinite(t.data))
+    assert base.flags.writeable and not t.data.flags.writeable
+
+
+def test_read_only_data_is_shared_not_copied():
+    # a tensor's data is read-only down to its base, so regrouping it or
+    # wrapping it again costs no copy
+    t = Tensor(np.arange(16.0).reshape(2, 2, 2, 2))
+    assert np.shares_memory(group(t, (2, 1, 1)).data, t.data)
+    assert Tensor(t.data).data is t.data
+    view = t.data[0]
+    assert np.shares_memory(Tensor(view).data, t.data)
+
+
 def test_outer_hand_example():
     t = outer([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
     np.testing.assert_array_equal(t.data, [[1.0, -1.0], [1.0, -1.0]])

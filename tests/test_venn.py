@@ -132,6 +132,17 @@ def test_measurement_tensor_validation():
         MeasurementTensor(Tensor(np.zeros((2, 2))), epsilon_inf=-0.1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_measurement_tensor_needs_a_finite_noise_bound(eps):
+    # with a NaN or infinite bound no symmetry or closing check could fail
+    data = Tensor(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="noise bound must be finite and nonnegative"):
+        MeasurementTensor(data, epsilon_inf=eps)
+    obj = {**data.to_json_dict(), "epsilon_inf": eps}
+    with pytest.raises(ValueError, match="noise bound must be finite and nonnegative"):
+        MeasurementTensor.from_json_dict(obj)
+
+
 def test_add_measurement_noise():
     v = random_diagram(5, 3, seed=2)
     t = intersection_tensor(v, 3)
