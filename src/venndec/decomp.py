@@ -247,9 +247,10 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
         A, sa = _fix_signs(A)
         B, sb = _fix_signs(B)
         c_rows = c_scaled * (sa * sb)[:, None]
-        # vecdot of contiguous rows is each row's own dot product, as a
-        # vector norm takes it; a norm along an axis sums in another order
-        w = np.sqrt(np.vecdot(c_rows, c_rows))
+        # a stack of 1 x n3 by n3 x 1 products takes each row's own dot
+        # product, as a vector norm does; a norm along an axis sums in
+        # another order
+        w = np.sqrt((c_rows[:, None] @ c_rows[..., None]).ravel())
         C, csign = _fix_signs((c_rows / np.where(w > 0, w, 1.0)[:, None]).T)
         order = np.argsort(-w, kind="stable")
         factors = (A[:, order], B[:, order], C[:, order])

@@ -25,12 +25,14 @@ __all__ = [
 
 
 def frozen_array(x) -> np.ndarray:
-    """x as a read-only C-ordered float64 array that no one can write through.
+    """x as a read-only C-ordered float64 array.
 
-    An array that is read-only down to its base is kept, so that reshaping a
-    frozen array costs no copy; an array that is writable, or views one that
-    is, is copied.  Freshly converted input (a list, another dtype) is owned
-    already and only frozen.
+    An array that is writable, or views one that is, is copied, so that later
+    writes through it do not reach the result.  An array that is read-only
+    down to its base is trusted as owned and kept, so that reshaping a frozen
+    array costs no copy; a writable view taken before that base was frozen
+    still writes through to it.  Freshly converted input (a list, another
+    dtype) is owned already and only frozen.
     """
     arr = np.ascontiguousarray(x, dtype=float)
     if arr is x or arr.base is not None:

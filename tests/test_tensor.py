@@ -33,6 +33,12 @@ def test_read_only_data_is_shared_not_copied():
     assert np.shares_memory(Tensor(view).data, t.data)
 
 
+def test_from_json_dict_keeps_its_parsed_entries_uncopied():
+    # the parsed entries are frozen in place, so the tensor is a view of them
+    t = Tensor.from_json_dict(Tensor(np.arange(8.0).reshape(2, 2, 2)).to_json_dict())
+    assert t.data.base is not None and not t.data.base.flags.writeable
+
+
 def test_outer_hand_example():
     t = outer([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
     np.testing.assert_array_equal(t.data, [[1.0, -1.0], [1.0, -1.0]])

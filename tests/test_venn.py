@@ -9,6 +9,7 @@ from scipy.linalg import svdvals
 from scipy.optimize import nnls
 
 from venndec.perturb import BitFlip, MembershipMatrix, perturb_memberships
+from venndec import tensor as tensor_module
 from venndec.rng import generator
 from venndec.tensor import Tensor, outer
 from venndec.venn import (
@@ -157,6 +158,24 @@ def test_add_measurement_noise():
     np.testing.assert_array_equal(noisy.tensor.data, again.tensor.data)
     with pytest.raises(ValueError):
         add_measurement_noise(t, -1.0)
+
+
+def test_measurement_producers_hand_their_arrays_over_uncopied(monkeypatch):
+    # both producers freeze the array they built, so wrapping it in a Tensor
+    # costs no copy of the full measurement tensor
+    copied = []
+    keep = tensor_module.frozen_array
+
+    def spy(x):
+        arr = keep(x)
+        if not np.shares_memory(arr, x):
+            copied.append(np.shape(x))
+        return arr
+
+    monkeypatch.setattr(tensor_module, "frozen_array", spy)
+    t = intersection_tensor(random_diagram(5, 3, seed=2), 3)
+    add_measurement_noise(t, 1e-3, seed=4)
+    assert copied == []
 
 
 def permutation_average(x):
