@@ -29,9 +29,7 @@ from .echelon import (
     BranchingSpec,
     BuildTrace,
     EchelonTree,
-    IndexTree,
     SubspaceBasis,
-    TreeNode,
     build_echelon_tree,
     certify_distance,
     collapse,

@@ -103,8 +103,7 @@ def _cmd_perturb(args) -> int:
 def _cmd_tensorize(args) -> int:
     diagram = VennDiagram.from_json_dict(_load_json(args.input))
     t = intersection_tensor(diagram, args.ell)
-    if args.epsilon > 0:
-        t = add_measurement_noise(t, args.epsilon, seed=args.seed)
+    t = add_measurement_noise(t, args.epsilon, seed=args.seed)
     _emit_json(t.to_json_dict(), args.out)
     return _EXIT_OK
 

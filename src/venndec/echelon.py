@@ -13,6 +13,13 @@ by Gaussian elimination with pivoting.  The leaf tensors of any echelon tree
 are linearly independent, and collapsing two adjacent levels (fusing the two
 index coordinates row-major) preserves the property.
 
+Such a tree is determined by its leaves in post-order, so an ``EchelonTree``
+is stored as two arrays: the leaf labels, one row per leaf, and the leaf
+tensors flattened into the rows of one matrix.  Every node's leaves are
+consecutive rows, a node J precedes leaf p exactly when J's last leaf comes
+before p, and verification, collapsing, largeness and certificates all work
+on the two arrays.  The nested JSON form exists only on disk.
+
 ``build_echelon_tree`` constructs such a tree for a subspace W with fractional
 branching (alpha_1, ..., alpha_ell), meaning level-k nodes have at least
 ceil(alpha_k * n_k) children, whenever
@@ -29,14 +36,17 @@ Euclidean distance from a rank-one tensor x = x_1 (x) ... (x) x_ell to any
 subspace orthogonal to W: every leaf T_I lies in W, so for v orthogonal to W,
 |<T_I, x>| = |<T_I, x - v>| <= ||T_I||_F ||x - v||.  The certificate is the
 largest of these bounds over all leaves, read off one matrix-vector product
-of the stacked leaves with x.
+of the leaf matrix with x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import lapack, null_space, qr, svdvals
@@ -45,8 +55,6 @@ from .tensor import Tensor, frozen_array, khatri_rao
 
 __all__ = [
     "SubspaceBasis",
-    "TreeNode",
-    "IndexTree",
     "EchelonTree",
     "BranchingSpec",
     "TraceRecord",
@@ -102,7 +110,7 @@ class SubspaceBasis:
         return math.prod(self.dims)
 
     @classmethod
-    def from_span(cls, matrix: np.ndarray, dims: Sequence[int], rcond: float = _RCOND) -> "SubspaceBasis":
+    def from_span(cls, matrix: np.ndarray, dims: Sequence[int]) -> "SubspaceBasis":
         """Orthonormalize a spanning set given as columns.
 
         Rejects numerically rank-deficient input so a caller never silently
@@ -114,7 +122,7 @@ class SubspaceBasis:
         if A.shape[1] == 0:
             return cls(tuple(dims), A.reshape(A.shape[0], 0))
         u, s, _ = np.linalg.svd(A, full_matrices=False)
-        rank = int(np.sum(s > rcond * s[0])) if s.size and s[0] > 0 else 0
+        rank = int(np.sum(s > _RCOND * s[0])) if s.size and s[0] > 0 else 0
         if rank < A.shape[1]:
             raise ValueError(
                 f"spanning set is rank-deficient: effective rank {rank} < {A.shape[1]} columns"
@@ -130,12 +138,12 @@ def orthogonal_complement(v: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(v.dims, comp)
 
 
-def _constrain_coords(B: np.ndarray, coords: Sequence[int], rcond: float = _RCOND) -> np.ndarray:
+def _constrain_coords(B: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     """Basis of {x in span(B) : x[c] = 0 for all c in coords}.
 
     The coefficients y with (B y)[coords] = 0 form the null space of
     R = B[coords, :], whose rank follows ``null_space``'s rule: singular
-    values above rcond * sigma_max.  A pivoted Householder QR R^T P = Q T
+    values above _RCOND * sigma_max.  A pivoted Householder QR R^T P = Q T
     puts range(R^T) in the first ``rank`` columns of Q, so B Q[:, rank:] is
     the constrained basis.  It is read off as rows rank: of Q^T B^T, with the
     reflectors applied by ``dormqr`` and Q never formed.
@@ -146,7 +154,7 @@ def _constrain_coords(B: np.ndarray, coords: Sequence[int], rcond: float = _RCON
     if np.max(np.abs(R)) <= 1e-12:
         return B  # constraints already hold
     s = svdvals(R)
-    rank = int(np.sum(s > rcond * s[0]))
+    rank = int(np.sum(s > _RCOND * s[0]))
     (h, tau), _, _ = qr(R.T, mode="raw", pivoting=True)
     h = h[:, : tau.size]
     _, work, _ = lapack.dormqr("L", "T", h, tau, B.T, -1)
@@ -160,112 +168,133 @@ def _constrain_coords(B: np.ndarray, coords: Sequence[int], rcond: float = _RCON
 # trees
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    index: tuple[int, ...]
-    children: tuple["TreeNode", ...] = ()
+def _prefix_keys(labels: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Column j holds the row-major flat index of each label's first j + 1
+    coordinates in dims[: j + 1], which is the row of that level-(j+1) node's
+    slice in a leaf reshaped to (n_1 * ... * n_(j+1), -1)."""
+    keys = np.empty_like(labels)
+    flat = np.zeros(len(labels), dtype=np.int64)
+    for j, n in enumerate(dims):
+        flat = flat * n + labels[:, j]
+        keys[:, j] = flat
+    return keys
 
-    @property
-    def level(self) -> int:
-        return len(self.index)
 
-    def is_leaf(self) -> bool:
-        return not self.children
+@dataclass(frozen=True, eq=False)
+class EchelonTree:
+    """An index tree over ``dims`` with a tensor per leaf, given by its leaves
+    in post-order.
 
-
-@dataclass(frozen=True)
-class IndexTree:
-    """Height-ell label tree over dims; the root carries the empty label."""
+    ``labels`` is the k x ell int64 matrix of 0-based leaf labels and
+    ``leaves`` the k x (n_1 * ... * n_ell) matrix whose row p is leaf p's
+    tensor flattened row-major.  Each node's leaves are consecutive rows and
+    the internal nodes are the distinct proper prefixes of the labels, so the
+    two arrays are the whole tree.  Both are frozen on construction, which
+    rejects bad shapes, non-finite entries, labels out of range, and labels
+    that split a node or repeat.  ``leaf_tensors`` views the rows as a
+    read-only label -> ``Tensor`` mapping in post-order.
+    """
 
     dims: tuple[int, ...]
-    children: tuple[TreeNode, ...]
+    labels: np.ndarray
+    leaves: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "children", tuple(self.children))
+        dims = tuple(int(d) for d in self.dims)
+        if not dims or min(dims) < 1:
+            raise ValueError(f"tree dims must be positive and nonempty, got {dims}")
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.flags.writeable = False
+        leaves = frozen_array(self.leaves)
+        if labels.ndim != 2 or labels.shape[1] != len(dims):
+            raise ValueError(f"labels must be a k x {len(dims)} matrix, got shape {labels.shape}")
+        if leaves.shape != (len(labels), math.prod(dims)):
+            raise ValueError(
+                f"leaves must be a {len(labels)} x {math.prod(dims)} matrix, got shape {leaves.shape}"
+            )
+        if not np.all(np.isfinite(leaves)):
+            raise ValueError("leaf entries must be finite")
+        out = np.flatnonzero(np.any((labels < 0) | (labels >= np.array(dims)), axis=1))
+        if out.size:
+            raise ValueError(f"label {tuple(labels[out[0]].tolist())} out of range for dims {dims}")
+        keys = _prefix_keys(labels, dims)
+        for j in range(len(dims) - 1):  # each internal node's leaves are one run of rows
+            runs = np.count_nonzero(np.diff(keys[:, j], append=-1))
+            if np.unique(keys[:, j]).size < runs:
+                raise ValueError(f"leaf labels split a level-{j + 1} node")
+        if np.unique(keys[:, -1]).size < len(labels):
+            raise ValueError("leaf labels repeat")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "leaves", leaves)
 
     @property
     def height(self) -> int:
         return len(self.dims)
 
-    def nodes_postorder(self) -> Iterator[TreeNode]:
-        def walk(node: TreeNode) -> Iterator[TreeNode]:
-            for c in node.children:
-                yield from walk(c)
-            yield node
-
-        for c in self.children:
-            yield from walk(c)
-
-    def structural_problems(self) -> list[str]:
-        problems: list[str] = []
-        seen: set[tuple[int, ...]] = set()
-
-        def walk(node: TreeNode, parent_index: tuple[int, ...]):
-            if node.index[:-1] != parent_index or len(node.index) != len(parent_index) + 1:
-                problems.append(f"label {node.index} does not extend parent {parent_index}")
-            k = len(node.index) - 1
-            if k >= len(self.dims) or not 0 <= node.index[-1] < self.dims[k]:
-                problems.append(f"label {node.index} out of range for dims {self.dims}")
-            if node.index in seen:
-                problems.append(f"duplicate label {node.index}")
-            seen.add(node.index)
-            if node.is_leaf() and len(node.index) != self.height:
-                problems.append(f"leaf {node.index} not at level {self.height}")
-            for c in node.children:
-                walk(c, node.index)
-
-        for c in self.children:
-            walk(c, ())
-        return problems
-
-
-@dataclass(frozen=True, eq=False)
-class EchelonTree:
-    """Index tree plus a tensor per leaf."""
-
-    tree: IndexTree
-    leaf_tensors: Mapping[tuple[int, ...], Tensor]
-
-    def __post_init__(self):
-        object.__setattr__(self, "leaf_tensors", dict(self.leaf_tensors))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.tree.dims
-
-    @property
-    def height(self) -> int:
-        return self.tree.height
+    @cached_property
+    def leaf_tensors(self) -> Mapping[tuple[int, ...], Tensor]:
+        return MappingProxyType(
+            {tuple(label): Tensor(row.reshape(self.dims)) for label, row in zip(self.labels.tolist(), self.leaves)}
+        )
 
     def to_json_dict(self) -> dict:
-        def encode(node: TreeNode) -> dict:
-            obj: dict = {"index": [i + 1 for i in node.index]}  # 1-based on disk
-            if node.is_leaf():
-                obj["tensor"] = self.leaf_tensors[node.index].to_json_dict()
-            else:
-                obj["children"] = [encode(c) for c in node.children]
-            return obj
+        labels = self.labels.tolist()
+        tensors = list(self.leaf_tensors.values())
 
-        return {
-            "dims": list(self.dims),
-            "tree": [encode(c) for c in self.tree.children],
-        }
+        def encode(rows: list[int], level: int) -> list[dict]:
+            nodes = []
+            for _, run in itertools.groupby(rows, key=lambda p: labels[p][level]):
+                run = list(run)
+                obj: dict = {"index": [i + 1 for i in labels[run[0]][: level + 1]]}  # 1-based on disk
+                if level + 1 == self.height:
+                    obj["tensor"] = tensors[run[0]].to_json_dict()
+                else:
+                    obj["children"] = encode(run, level + 1)
+                nodes.append(obj)
+            return nodes
+
+        return {"dims": list(self.dims), "tree": encode(list(range(len(labels))), 0)}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "EchelonTree":
+        """Decode the nested on-disk tree; raises ValueError on a label that
+        does not extend its parent or repeats, a leaf off level ell or with
+        the wrong dims, a node with neither children nor a tensor, and
+        children below level ell."""
         dims = tuple(int(d) for d in obj["dims"])
-        leaf_tensors: dict[tuple[int, ...], Tensor] = {}
+        labels: list[tuple[int, ...]] = []
+        leaves: list[np.ndarray] = []
+        seen: set[tuple[int, ...]] = set()
 
-        def decode(node_obj: Mapping) -> TreeNode:
+        def decode(node_obj: Mapping, parent: tuple[int, ...]):
             index = tuple(int(i) - 1 for i in node_obj["index"])
+            if len(index) != len(parent) + 1 or index[:-1] != parent:
+                raise ValueError(f"label {index} does not extend parent {parent}")
+            if index in seen:
+                raise ValueError(f"duplicate label {index}")
+            seen.add(index)
             if "tensor" in node_obj:
-                leaf_tensors[index] = Tensor.from_json_dict(node_obj["tensor"])
-                return TreeNode(index)
-            return TreeNode(index, tuple(decode(c) for c in node_obj.get("children", ())))
+                tensor = Tensor.from_json_dict(node_obj["tensor"])
+                if len(index) != len(dims) or tensor.dims != dims:
+                    raise ValueError(
+                        f"leaf {index} with dims {tensor.dims} is not a level-{len(dims)} leaf over {dims}"
+                    )
+                labels.append(index)
+                leaves.append(tensor.data.ravel())
+            elif not node_obj.get("children"):
+                raise ValueError(f"node {index} has neither children nor a tensor")
+            elif len(index) >= len(dims):
+                raise ValueError(f"node {index} has children below level {len(dims)}")
+            else:
+                for child in node_obj["children"]:
+                    decode(child, index)
 
-        children = tuple(decode(c) for c in obj["tree"])
-        return cls(IndexTree(dims, children), leaf_tensors)
+        for node_obj in obj["tree"]:
+            decode(node_obj, ())
+        matrix = np.array(leaves, dtype=float).reshape(len(leaves), math.prod(dims))
+        matrix.flags.writeable = False  # our own copy: EchelonTree keeps it uncopied
+        return cls(dims, np.array(labels, dtype=np.int64).reshape(len(labels), len(dims)), matrix)
 
 
 @dataclass(frozen=True)
@@ -321,7 +350,7 @@ class BuildTrace:
 # elimination and construction
 
 
-def _eliminate(B: np.ndarray, needed: int) -> list[tuple[int, np.ndarray]]:
+def _eliminate(B: np.ndarray, needed: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy pivoted elimination of span(B) as one pivoted QR of B^T.
 
     Step j pivots at the coordinate whose projection onto the part of span(B)
@@ -329,10 +358,11 @@ def _eliminate(B: np.ndarray, needed: int) -> list[tuple[int, np.ndarray]]:
     at its pivot, is vector j.  Column-pivoted QR B^T P = Q R makes the same
     choices, and B Q = P R^T says vector j is row j of R put back at the
     pivot coordinates, over R[j, j]: zero at earlier pivots, exactly 1 at its
-    own, and no larger elsewhere.  Returns ``needed`` vectors; raises when
-    some |R[j, j]| before them is <= _PIVOT_TOL or fewer than ``needed`` exist.
+    own, and no larger elsewhere.  Returns the ``needed`` pivots and the
+    vectors as the rows of one matrix; raises when some |R[j, j]| before them
+    is <= _PIVOT_TOL or fewer than ``needed`` exist.
     """
-    ambient, d = B.shape
+    d = B.shape[1]
     R, piv = qr(B.T, mode="r", pivoting=True)
     count = min(d, needed)
     collapsed = np.flatnonzero(np.abs(np.diagonal(R)[:count]) <= _PIVOT_TOL)
@@ -343,20 +373,10 @@ def _eliminate(B: np.ndarray, needed: int) -> list[tuple[int, np.ndarray]]:
         )
     if count < needed:
         raise ValueError(f"subspace exhausted after {count} pivots, needed {needed}")
-    out: list[tuple[int, np.ndarray]] = []
-    for j in range(count):
-        v = np.empty(ambient)  # its own buffer, so a kept leaf holds no block
-        v[piv] = R[j] / R[j, j]
-        v[piv[j]] = 1.0
-        out.append((int(piv[j]), v))
-    return out
-
-
-@dataclass
-class _Draft:
-    first: int
-    children: list["_Draft"]
-    vector: np.ndarray | None = None
+    rows = np.empty((count, B.shape[0]))
+    rows[:, piv] = R[:count] / np.diagonal(R)[:count, None]
+    rows[np.arange(count), piv[:count]] = 1.0
+    return piv[:count].astype(np.int64), rows
 
 
 def build_echelon_tree(w: SubspaceBasis, spec: BranchingSpec) -> tuple[EchelonTree, BuildTrace]:
@@ -384,21 +404,10 @@ def build_echelon_tree(w: SubspaceBasis, spec: BranchingSpec) -> tuple[EchelonTr
         )
     records: list[TraceRecord] = []
     needed = math.ceil(spec.alphas[0] * dims[0] - 1e-9)
-    drafts = _build(w.vectors, dims, dims[0], needed, spec.alphas[1:], records=records, depth=0)
-
-    leaf_tensors: dict[tuple[int, ...], Tensor] = {}
-
-    def to_node(draft: _Draft, prefix: tuple[int, ...]) -> TreeNode:
-        index = prefix + (draft.first,)
-        if draft.vector is not None:
-            leaf_tensors[index] = Tensor(draft.vector.reshape(dims))
-            return TreeNode(index)
-        return TreeNode(index, tuple(to_node(c, index) for c in draft.children))
-
-    children = tuple(to_node(d, ()) for d in drafts)
-    tree = EchelonTree(IndexTree(dims, children), leaf_tensors)
+    labels, leaves = _build(w.vectors, dims, dims[0], needed, spec.alphas[1:], records=records, depth=0)
+    leaves.flags.writeable = False  # built here: EchelonTree keeps it uncopied
     trace = BuildTrace(dims=dims, alphas=spec.alphas, dim_w=w.dim, records=tuple(records))
-    return tree, trace
+    return EchelonTree(dims, labels, leaves), trace
 
 
 def _build(
@@ -410,12 +419,13 @@ def _build(
     *,
     records: list[TraceRecord],
     depth: int,
-) -> list[_Draft]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and leaves, in post-order, of ``needed`` level-1 subtrees over dims."""
     if needed <= 0:
-        return []
+        return np.empty((0, len(dims)), dtype=np.int64), np.empty((0, B.shape[0]))
     if len(dims) == 1:
-        pairs = _eliminate(B, needed=needed)
-        return [_Draft(first=p, children=[], vector=v) for p, v in pairs]
+        pivots, rows = _eliminate(B, needed=needed)
+        return pivots[:, None], rows
 
     n1, n2 = dims[0], dims[1]
     rest = dims[2:]
@@ -423,15 +433,15 @@ def _build(
     rest_prod = math.prod(1.0 - a for a in rest_alphas[1:])
     min_b2 = math.ceil(rest_alphas[0] * n2 - 1e-9)
 
-    drafts: list[_Draft] = []
-    eliminated = 0
-    while len(drafts) < needed:
-        free1 = n1_free - eliminated
+    labels: list[np.ndarray] = []
+    leaves: list[np.ndarray] = []
+    for step in range(needed):
+        free1 = n1_free - step
         d = B.shape[1]
         ambient_eff = free1 * n2 * rest_stride
         if free1 <= 0 or d == 0:
             raise ValueError(
-                f"ran out of subspace at depth {depth}: {len(drafts)}/{needed} nodes built"
+                f"ran out of subspace at depth {depth}: {step}/{needed} nodes built"
             )
         # capacity: the inner build can supply at most cap_frac * free1 * n2
         # fused nodes, where (1 - cap_frac) * rest_prod = 1 - d/ambient
@@ -448,15 +458,15 @@ def _build(
             b2 = min(n2, (x_max - 1) // free1 + 1)
         if b2 < max(min_b2, 1):
             raise ValueError(
-                f"branching infeasible at depth {depth} step {len(drafts)}: "
+                f"branching infeasible at depth {depth} step {step}: "
                 f"best second-level fraction {b2}/{n2} below required {min_b2}/{n2}"
             )
         demand = (b2 - 1) * free1 + 1
         records.append(
             TraceRecord(
                 depth=depth,
-                step=len(drafts),
-                gamma=len(drafts) / n1,
+                step=step,
+                gamma=step / n1,
                 beta=b2 / n2,
                 subspace_dim=d,
                 ambient=ambient_eff,
@@ -465,7 +475,7 @@ def _build(
             )
         )
 
-        inner = _build(
+        inner_labels, inner_leaves = _build(
             B,
             (n1 * n2, *rest),
             free1 * n2,
@@ -475,25 +485,19 @@ def _build(
             depth=depth + 1,
         )
         # pigeonhole: some leading coordinate owns >= b2 of the fused nodes
-        buckets: dict[int, list[_Draft]] = {}
-        for node in inner:
-            buckets.setdefault(node.first // n2, []).append(node)
-        qualified = sorted(i1 for i1, lst in buckets.items() if len(lst) >= b2)
-        if not qualified:
+        firsts = inner_labels[:, 0] // n2
+        qualified = np.flatnonzero(np.bincount(np.unique(inner_labels[:, 0]) // n2) >= b2)
+        if not qualified.size:
             raise ValueError(f"pigeonhole failed at depth {depth}: no coordinate with {b2} nodes")
-        i1 = qualified[0]
-        batch = buckets[i1]
-        drafts.append(
-            _Draft(
-                first=i1,
-                children=[_Draft(first=d_.first % n2, children=d_.children, vector=d_.vector) for d_ in batch],
-            )
-        )
-        if len(drafts) < needed:
+        i1 = int(qualified[0])
+        batch = firsts == i1
+        kept = inner_labels[batch]
+        labels.append(np.column_stack([np.full(len(kept), i1), kept[:, 0] % n2, kept[:, 1:]]))
+        leaves.append(inner_leaves[batch])
+        if step + 1 < needed:
             stride = n2 * rest_stride
             B = _constrain_coords(B, range(i1 * stride, (i1 + 1) * stride))
-        eliminated += 1
-    return drafts
+    return np.concatenate(labels), np.concatenate(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -524,56 +528,54 @@ def verify_echelon(t: EchelonTree, tolerance: float = 1e-9) -> VerifyReport:
 
     A leaf I must satisfy |T_I(e_I)| > tolerance, and for every node J that
     precedes it in post-order the whole slice T_I[J, ...] must vanish within
-    tolerance.  Structural label defects are reported as violations too.
+    tolerance.  Violations come leaf by leaf, each leaf's pivot first, then
+    its nodes J in post-order.  Raises ValueError unless tolerance is finite
+    and >= 0.
     """
-    violations: list[Violation] = []
-    for msg in t.tree.structural_problems():
-        violations.append(Violation(f"structure: {msg}", (), None, 0.0))
-
-    order = list(t.tree.nodes_postorder())
-    leaf_set = {n.index for n in order if n.is_leaf()}
-    if leaf_set != set(t.leaf_tensors):
-        violations.append(
-            Violation(
-                f"leaf tensors keyed {sorted(t.leaf_tensors)} but tree has leaves {sorted(leaf_set)}",
-                (),
-                None,
-                0.0,
-            )
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    k, ell = t.labels.shape
+    keys = _prefix_keys(t.labels, t.dims)
+    magnitude = np.abs(t.leaves)
+    # Nodes level by level: a level-j node is a run of equal keys[:, j - 1],
+    # named by the run's last leaf; its slice of leaf p is row key of leaf p
+    # reshaped to (n_1 * ... * n_j, -1), so its maxima come from one reshape.
+    last, level, worst = [], [], []
+    for j in range(1, ell + 1):
+        ends = np.flatnonzero(np.diff(keys[:, j - 1], append=-1))
+        rows = math.prod(t.dims[:j])
+        maxima = magnitude.reshape(k, rows, magnitude.shape[1] // rows).max(axis=2)
+        last.append(ends)
+        level.append(np.full(ends.size, j))
+        worst.append(maxima[:, keys[ends, j - 1]])
+    last, level, worst = np.concatenate(last), np.concatenate(level), np.hstack(worst)
+    # post-order: J precedes leaf p exactly when J's last leaf comes before p,
+    # and among nodes sharing a last leaf the deepest comes first
+    order = np.lexsort((-level, last))
+    last, level, worst = last[order], level[order], worst[:, order]
+    pivots = magnitude[np.arange(k), keys[:, -1]]
+    bad = np.column_stack([~(pivots > tolerance), (last < np.arange(k)[:, None]) & (worst > tolerance)])
+    labels = t.labels.tolist()
+    violations = tuple(
+        Violation("pivot below tolerance", tuple(labels[p]), None, float(pivots[p]))
+        if c == 0
+        else Violation(
+            "nonzero before pivot",
+            tuple(labels[p]),
+            tuple(labels[last[c - 1]][: level[c - 1]]),
+            float(worst[p, c - 1]),
         )
-        return VerifyReport(ok=False, violations=tuple(violations))
-
-    for tensor in t.leaf_tensors.values():
-        if tensor.dims != t.dims:
-            violations.append(Violation("leaf tensor shape mismatch", (), None, 0.0))
-            return VerifyReport(ok=False, violations=tuple(violations))
-
-    # Slice T_I[J, ...] of a level-k node J is row ``flat(J)`` of T_I reshaped
-    # to (n_1 * ... * n_k, -1); the per-level row maxima, stacked level after
-    # level, are gathered at ``keys`` (one per node, in post-order).
-    grids = [np.arange(math.prod(t.dims[:k])).reshape(t.dims[:k]) for k in range(1, t.height + 1)]
-    offsets = np.cumsum([0] + [g.size for g in grids[:-1]])
-    keys = np.array([offsets[n.level - 1] + grids[n.level - 1][n.index] for n in order], dtype=int)
-    for pos, node in enumerate(order):
-        if not node.is_leaf():
-            continue
-        data = t.leaf_tensors[node.index].data
-        pivot_val = abs(float(data[node.index]))
-        if not pivot_val > tolerance:
-            violations.append(Violation("pivot below tolerance", node.index, None, pivot_val))
-        magnitude = np.abs(data)
-        maxima = np.concatenate([magnitude.reshape(g.size, -1).max(axis=1) for g in grids])
-        worst = maxima[keys[:pos]]
-        for j in np.flatnonzero(worst > tolerance):
-            violations.append(Violation("nonzero before pivot", node.index, order[j].index, float(worst[j])))
-    return VerifyReport(ok=not violations, violations=tuple(violations))
+        for p, c in zip(*np.nonzero(bad))
+    )
+    return VerifyReport(ok=not violations, violations=violations)
 
 
 def largeness(t: EchelonTree) -> float:
     """Smallest own-pivot magnitude min_I |T_I(e_I)| over the leaves."""
-    if not t.leaf_tensors:
+    if not len(t.labels):
         raise ValueError("largeness of an empty tree is undefined")
-    return min(abs(float(tensor.data[idx])) for idx, tensor in t.leaf_tensors.items())
+    own = _prefix_keys(t.labels, t.dims)[:, -1]
+    return float(np.min(np.abs(t.leaves[np.arange(len(own)), own])))
 
 
 def collapse(t: EchelonTree, mode: int) -> EchelonTree:
@@ -581,7 +583,7 @@ def collapse(t: EchelonTree, mode: int) -> EchelonTree:
 
     Level-(mode+1) nodes disappear; their children reattach to the grandparent
     in child-major order, with index coordinates mode and mode+1 fused
-    row-major.  Leaf tensors are reshaped, never permuted.
+    row-major.  The leaves and their order are unchanged.
     """
     ell = t.height
     if ell < 2:
@@ -590,28 +592,9 @@ def collapse(t: EchelonTree, mode: int) -> EchelonTree:
         raise ValueError(f"mode must lie in [0, {ell - 2}], got {mode}")
     d2 = t.dims[mode + 1]
     new_dims = t.dims[:mode] + (t.dims[mode] * d2,) + t.dims[mode + 2 :]
-
-    def fuse(index: tuple[int, ...]) -> tuple[int, ...]:
-        return index[:mode] + (index[mode] * d2 + index[mode + 1],) + index[mode + 2 :]
-
-    def relabel(node: TreeNode) -> TreeNode:
-        return TreeNode(fuse(node.index), tuple(relabel(c) for c in node.children))
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.level == mode:
-            grandkids = [g for c in node.children for g in c.children]
-            return TreeNode(node.index, tuple(relabel(g) for g in grandkids))
-        return TreeNode(node.index, tuple(rebuild(c) for c in node.children))
-
-    if mode == 0:
-        children = tuple(relabel(g) for c in t.tree.children for g in c.children)
-    else:
-        children = tuple(rebuild(c) for c in t.tree.children)
-
-    leaf_tensors = {
-        fuse(idx): Tensor(tensor.data.reshape(new_dims)) for idx, tensor in t.leaf_tensors.items()
-    }
-    return EchelonTree(IndexTree(new_dims, children), leaf_tensors)
+    fused = t.labels[:, mode] * d2 + t.labels[:, mode + 1]
+    labels = np.column_stack([t.labels[:, :mode], fused, t.labels[:, mode + 2 :]])
+    return EchelonTree(new_dims, labels, t.leaves)
 
 
 def certify_distance(t: EchelonTree, chis: Sequence[np.ndarray]) -> float:
@@ -634,10 +617,7 @@ def certify_distance(t: EchelonTree, chis: Sequence[np.ndarray]) -> float:
             raise ValueError(f"direction {k} has length {chi.size}, expected {n_k}")
         if not np.all(np.isfinite(chi)):
             raise ValueError(f"direction {k} has non-finite entries")
-    if not t.leaf_tensors:
-        return 0.0
-    leaves = np.stack([tensor.data.ravel() for tensor in t.leaf_tensors.values()])
-    norms = np.linalg.norm(leaves, axis=1)
+    norms = np.linalg.norm(t.leaves, axis=1)
     keep = norms > 0.0
     x = khatri_rao([v[:, None] for v in vecs]).ravel()
-    return float(np.max(np.abs(leaves[keep] @ x) / norms[keep], initial=0.0))
+    return float(np.max(np.abs(t.leaves[keep] @ x) / norms[keep], initial=0.0))

@@ -216,9 +216,12 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
 
 
 def add_measurement_noise(t: MeasurementTensor, eps: float, seed: int = 0) -> MeasurementTensor:
-    """Add iid uniform [-eps, eps] noise, re-symmetrized by permutation averaging."""
-    if eps < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {eps}")
+    """Add iid uniform [-eps, eps] noise, re-symmetrized by permutation averaging.
+
+    Raises ValueError unless eps is finite and >= 0; at eps 0 returns t.
+    """
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {eps}")
     if eps == 0.0:
         return t
     rng = generator(seed, "measure-noise")

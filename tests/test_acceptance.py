@@ -60,10 +60,10 @@ def test_criterion_01_echelon_construction(big_trees):
         def check(children, level):
             assert len(children) >= 3
             for node in children:
-                if node.children:
-                    check(node.children, level + 1)
+                if "children" in node:
+                    check(node["children"], level + 1)
 
-        check(tree.tree.children, 1)
+        check(tree.to_json_dict()["tree"], 1)
     elapsed = build_elapsed + (time.perf_counter() - t0)
     assert elapsed < 30.0, f"echelon construction took {elapsed:.1f}s"
 

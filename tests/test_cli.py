@@ -312,6 +312,16 @@ def test_reconstruct_rejects_a_bad_tol(tmp_path, tol, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["-0.5", "nan", "inf"])
+def test_tensorize_rejects_a_bad_epsilon(tmp_path, eps, capsys):
+    # NaN and -0.5 used to write a noiseless tensor; inf died with OverflowError
+    out = tmp_path / "t.json"
+    diagram = '{"n": 4, "regions": [{"chi": [1, 0, 1, 1], "w": 1.0}]}'
+    assert cli.main(["tensorize", "--input", diagram, "--ell", "3", "--epsilon", eps, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: noise level must be finite and nonnegative")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bound, message", [("0", "closing check failed"), ("NaN", "noise bound must be finite")])
 def test_reconstruct_refuses_a_tampered_tensor_whatever_its_bound(tmp_path, bound, message, capsys):
     # a NaN bound used to switch off every check, and reconstruct returned

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+from venndec import cli
 from venndec.echelon import (
     BranchingSpec,
     EchelonTree,
-    IndexTree,
     SubspaceBasis,
     build_echelon_tree,
     certify_distance,
@@ -22,7 +22,6 @@ from venndec.echelon import (
     _eliminate,
 )
 from venndec.rng import generator
-from venndec.tensor import Tensor
 
 
 def random_subspace(dims, dim, seed):
@@ -67,30 +66,28 @@ def test_orthogonal_complement_of_trivial_space():
 
 def test_eliminate_full_plane():
     w = SubspaceBasis.from_span(np.array([[2.0, 1.0], [0.0, 1.0]]), (2,))
-    pairs = _eliminate(w.vectors, needed=2)
-    assert [p for p, _ in pairs] == [0, 1]
-    np.testing.assert_allclose(pairs[0][1], [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(pairs[1][1], [0.0, 1.0], atol=1e-12)
+    pivots, rows = _eliminate(w.vectors, needed=2)
+    assert pivots.tolist() == [0, 1]
+    np.testing.assert_allclose(rows, np.eye(2), atol=1e-12)
 
 
 def test_eliminate_respects_forbidden_pivots():
     B = _constrain_coords(np.eye(3), [0])
-    pairs = _eliminate(B, needed=B.shape[1])
-    assert {p for p, _ in pairs} == {1, 2}
-    for _, v in pairs:
-        assert abs(v[0]) <= 1e-12
+    pivots, rows = _eliminate(B, needed=B.shape[1])
+    assert set(pivots.tolist()) == {1, 2}
+    assert np.max(np.abs(rows[:, 0])) <= 1e-12
 
 
 def test_eliminate_pivot_entry_is_one():
     w = random_subspace((6,), 4, seed=3)
-    pairs = _eliminate(w.vectors, needed=4)
-    assert len(pairs) == 4
-    for p, v in pairs:
+    pivots, rows = _eliminate(w.vectors, needed=4)
+    assert rows.shape == (4, 6)
+    for p, v in zip(pivots, rows):
         assert v[p] == 1.0
         assert np.max(np.abs(v)) == 1.0
     # successive vectors vanish at all earlier pivots
-    for k, (_, v) in enumerate(pairs):
-        for earlier, _ in pairs[:k]:
+    for k, v in enumerate(rows):
+        for earlier in pivots[:k]:
             assert abs(v[earlier]) <= 1e-10
 
 
@@ -142,8 +139,10 @@ def _reference_eliminate(B, needed, tol=1e-10):
 
 
 def _assert_same_elimination(got, want):
-    assert [p for p, _ in got] == [p for p, _ in want]
-    for (_, v), (_, ref) in zip(got, want):
+    pivots, rows = got
+    assert pivots.tolist() == [p for p, _ in want]
+    assert len(rows) == len(want)
+    for v, (_, ref) in zip(rows, want):
         np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-12)
 
 
@@ -180,10 +179,9 @@ def test_constrain_rank_deficient_coordinates_matches_reference():
         np.testing.assert_allclose(B @ B.T, ref_B @ ref_B.T, rtol=0.0, atol=1e-12)
         _assert_same_elimination(_eliminate(B, needed=B.shape[1]), _reference_eliminate(ref_B, None))
     B = _constrain_coords(w.vectors, [0, 1, 2, 3])
-    pairs = _eliminate(B, needed=B.shape[1])
-    assert len(pairs) == 4
-    for _, v in pairs:
-        assert np.max(np.abs(v[:4])) <= 1e-12
+    _, rows = _eliminate(B, needed=B.shape[1])
+    assert len(rows) == 4
+    assert np.max(np.abs(rows[:, :4])) <= 1e-12
 
 
 def test_eliminate_errors_keep_their_messages():
@@ -202,10 +200,10 @@ def test_exact_tie_follows_geqp3_column_order():
     b[[0, 3], 1] = 2**-0.5
     b[[1, 4], 2] = 2**-0.5
     w = SubspaceBasis((5,), b)
-    assert [p for p, _ in _eliminate(w.vectors, needed=3)] == [2, 1, 0]
+    assert _eliminate(w.vectors, needed=3)[0].tolist() == [2, 1, 0]
     tree, _ = build_echelon_tree(w, BranchingSpec((0.6,)))
     assert verify_echelon(tree).ok
-    assert [n.index for n in tree.tree.nodes_postorder()] == [(2,), (1,), (0,)]
+    assert tree.labels.tolist() == [[2], [1], [0]]
 
 
 # --- construction -----------------------------------------------------------
@@ -251,10 +249,13 @@ def test_build_meets_branching_quota():
     tree, _ = build_echelon_tree(w, BranchingSpec(alphas))
     assert verify_echelon(tree, tolerance=1e-9).ok
     # every node at level k - 1 (the root is level 0) has its quota of children
-    parents = [tree.tree.children] + [n.children for n in tree.tree.nodes_postorder() if n.children]
-    for children in parents:
-        k = children[0].level
+    def check(children, k):
         assert len(children) >= math.ceil(alphas[k - 1] * dims[k - 1])
+        for node in children:
+            if "children" in node:
+                check(node["children"], k + 1)
+
+    check(tree.to_json_dict()["tree"], 1)
     # leaf tensors live in W
     p = w.vectors @ w.vectors.T
     for t in tree.leaf_tensors.values():
@@ -302,17 +303,22 @@ def test_build_leaf_count_dimension_bound():
         assert np.linalg.svd(flat, compute_uv=False)[-1] > 1e-8
 
 
-def test_leaf_tensors_own_their_buffers():
+def test_leaves_are_their_own_block():
     w = random_subspace((4, 4, 4), 56, seed=5)
     tree, _ = build_echelon_tree(w, BranchingSpec((0.5, 0.5, 0.5)))
-    leaves = [t.data for t in tree.leaf_tensors.values()]
-    for i, a in enumerate(leaves):
-        root = a
-        while root.base is not None:
-            root = root.base
-        assert root.nbytes == a.nbytes  # no larger block kept alive
-        for b in leaves[i + 1 :]:
-            assert not np.shares_memory(a, b)
+    k = len(tree.labels)
+    assert tree.leaves.shape == (k, 64)
+    root = tree.leaves
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == tree.leaves.nbytes  # no larger block kept alive
+    assert not tree.leaves.flags.writeable and not tree.labels.flags.writeable
+    # leaf_tensors views the rows: one cached mapping, no copies, read-only
+    assert tree.leaf_tensors is tree.leaf_tensors
+    for t in tree.leaf_tensors.values():
+        assert np.shares_memory(t.data, tree.leaves)
+    with pytest.raises(TypeError):
+        tree.leaf_tensors[(0, 0, 0)] = None
 
 
 def test_build_is_deterministic():
@@ -325,14 +331,17 @@ def test_build_is_deterministic():
 # --- verifier ---------------------------------------------------------------
 
 
+def _with_leaves(tree, leaves):
+    return EchelonTree(tree.dims, tree.labels, leaves)
+
+
 def test_verify_catches_echelon_violation():
     w = SubspaceBasis((2, 2), np.eye(4))
     tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
-    bad = dict(tree.leaf_tensors)
-    data = bad[(1, 1)].data.copy()
-    data[0, 0] = 0.5  # nonzero at an earlier leaf's index
-    bad[(1, 1)] = Tensor(data)
-    report = verify_echelon(EchelonTree(tree.tree, bad))
+    leaves = tree.leaves.copy()
+    p = tree.labels.tolist().index([1, 1])
+    leaves[p, 0] = 0.5  # nonzero at an earlier leaf's index
+    report = verify_echelon(_with_leaves(tree, leaves))
     assert not report.ok
     assert any("before pivot" in v.kind for v in report.violations)
 
@@ -340,49 +349,77 @@ def test_verify_catches_echelon_violation():
 def test_verify_catches_dead_pivot():
     w = SubspaceBasis((2, 2), np.eye(4))
     tree, _ = build_echelon_tree(w, BranchingSpec((1.0, 1.0)))
-    bad = dict(tree.leaf_tensors)
-    data = bad[(0, 0)].data.copy()
-    data[0, 0] = 0.0
-    bad[(0, 0)] = Tensor(data)
-    report = verify_echelon(EchelonTree(tree.tree, bad))
+    leaves = tree.leaves.copy()
+    p = tree.labels.tolist().index([0, 0])
+    leaves[p, 0] = 0.0
+    report = verify_echelon(_with_leaves(tree, leaves))
     assert not report.ok
     assert any("pivot below" in v.kind for v in report.violations)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
+def test_verify_needs_a_finite_nonnegative_tolerance(tmp_path, tolerance, capsys):
+    # a negative tolerance used to pass a dead pivot
+    obj = {"dims": [2], "tree": [{"index": [1], "tensor": {"dims": [2], "entries": [0.0, 0.0]}}]}
+    tree = EchelonTree.from_json_dict(obj)
+    assert not verify_echelon(tree).ok
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        verify_echelon(tree, tolerance=tolerance)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["echelon", "verify", "--input", str(path), f"--tolerance={tolerance}"]) == 1
+    assert capsys.readouterr().err.startswith("error: tolerance must be finite and >= 0")
+
+
 def _reference_verify(t, tolerance=1e-9):
-    order = list(t.tree.nodes_postorder())
+    """Slice by slice over the nodes of the nested JSON form, in post-order."""
+    order, tensors = [], {}
+
+    def walk(node):
+        for child in node.get("children", ()):
+            walk(child)
+        index = tuple(i - 1 for i in node["index"])
+        order.append(index)
+        if "tensor" in node:
+            tensors[index] = np.reshape(node["tensor"]["entries"], t.dims)
+
+    for node in t.to_json_dict()["tree"]:
+        walk(node)
     violations = []
-    for pos, node in enumerate(order):
-        if not node.is_leaf():
+    for pos, index in enumerate(order):
+        if index not in tensors:
             continue
-        data = t.leaf_tensors[node.index].data
-        pivot_val = abs(float(data[node.index]))
+        data = tensors[index]
+        pivot_val = abs(float(data[index]))
         if not pivot_val > tolerance:
-            violations.append(("pivot below tolerance", node.index, None, pivot_val))
-        for j_node in order[:pos]:
-            worst = float(np.max(np.abs(data[j_node.index])))
+            violations.append(("pivot below tolerance", index, None, pivot_val))
+        for j_index in order[:pos]:
+            worst = float(np.max(np.abs(data[j_index])))
             if worst > tolerance:
-                violations.append(("nonzero before pivot", node.index, j_node.index, worst))
+                violations.append(("nonzero before pivot", index, j_index, worst))
     return violations
 
 
 def test_verify_matches_slice_by_slice_reference():
-    w = random_subspace((3, 3, 3), 20, seed=11)
-    tree, _ = build_echelon_tree(w, BranchingSpec((1 / 3, 1 / 3, 1 / 3)))
-    rng = generator(18, "tamper")
-    bad = {}
-    for idx, t in tree.leaf_tensors.items():
-        data = t.data.copy()
-        hit = rng.random(data.shape) < 0.1
-        data[hit] += rng.uniform(-1e-6, 1e-6, size=int(hit.sum()))
-        data[idx] *= rng.choice([1.0, 0.0], p=[0.8, 0.2])
-        bad[idx] = Tensor(data)
-    tampered = EchelonTree(tree.tree, bad)
-    report = verify_echelon(tampered)
-    got = [(v.kind, v.node, v.against, v.value) for v in report.violations]
-    want = _reference_verify(tampered)
-    assert want and not report.ok
-    assert got == want
+    for dims, alpha, dim_w in (((3, 3, 3), 1 / 3, 20), ((2, 3, 2), 0.5, 11), ((12,), 0.75, 10)):
+        w = random_subspace(dims, dim_w, seed=11)
+        tree, _ = build_echelon_tree(w, BranchingSpec((alpha,) * len(dims)))
+        rng = generator(18, "tamper")
+        leaves = tree.leaves.copy()
+        hit = rng.random(leaves.shape) < 0.1
+        leaves[hit] += rng.uniform(-1e-6, 1e-6, size=int(hit.sum()))
+        own = np.ravel_multi_index(tuple(tree.labels.T), dims)
+        leaves[np.arange(len(leaves)), own] *= rng.choice([1.0, 0.0], p=[0.8, 0.2], size=len(leaves))
+        # each leaf nonzero at the previous leaf's index, which is also in the
+        # slice of every node that ends there: a node and its last leaf both
+        # precede the next leaf, and their order is checked
+        leaves[np.arange(1, len(leaves)), own[:-1]] += 1e-6
+        tampered = _with_leaves(tree, leaves)
+        report = verify_echelon(tampered)
+        got = [(v.kind, v.node, v.against, v.value) for v in report.violations]
+        want = _reference_verify(tampered)
+        assert want and not report.ok, dims
+        assert got == want, dims
 
 
 def test_tree_json_uses_one_based_indices():
@@ -391,9 +428,91 @@ def test_tree_json_uses_one_based_indices():
     obj = tree.to_json_dict()
     assert obj["tree"][0]["index"] == [1]
     back = EchelonTree.from_json_dict(obj)
-    assert set(back.leaf_tensors) == set(tree.leaf_tensors)
-    for k in tree.leaf_tensors:
-        np.testing.assert_array_equal(back.leaf_tensors[k].data, tree.leaf_tensors[k].data)
+    np.testing.assert_array_equal(back.labels, tree.labels)
+    np.testing.assert_array_equal(back.leaves, tree.leaves)
+
+
+def test_leafless_tree_verifies_and_round_trips():
+    tree = EchelonTree((2, 3), np.zeros((0, 2), dtype=int), np.zeros((0, 6)))
+    assert verify_echelon(tree).ok
+    obj = tree.to_json_dict()
+    assert obj == {"dims": [2, 3], "tree": []}
+    back = EchelonTree.from_json_dict(obj)
+    assert back.dims == (2, 3) and back.labels.shape == (0, 2) and back.leaves.shape == (0, 6)
+    assert not back.leaf_tensors
+
+
+def _leaf(index, entries=(1.0, 0.0, 0.0, 0.0), dims=(2, 2)):
+    return {"index": list(index), "tensor": {"dims": list(dims), "entries": list(entries)}}
+
+
+# (constructor arguments or a JSON tree over dims (2, 2), expected message)
+_MALFORMED = [
+    pytest.param(((2, 2), [[0, 0, 0]], np.eye(4)[:1]), "labels must be a k x 2 matrix", id="labels-shape"),
+    pytest.param(((2, 2), [0, 1], np.eye(4)[:1]), "labels must be a k x 2 matrix", id="labels-1d"),
+    pytest.param(((2, 2), [[0, 0]], np.eye(4)[:2]), "leaves must be a 1 x 4 matrix", id="leaves-rows"),
+    pytest.param(((2, 2), [[0, 0]], np.ones((1, 3))), "leaves must be a 1 x 4 matrix", id="leaves-cols"),
+    pytest.param(((2, 2), [[0, 0]], [[np.nan, 0, 0, 0]]), "leaf entries must be finite", id="leaves-nan"),
+    pytest.param(((2, 2), [[0, 2]], np.eye(4)[:1]), r"label \(0, 2\) out of range", id="label-high"),
+    pytest.param(((2, 2), [[-1, 0]], np.eye(4)[:1]), r"label \(-1, 0\) out of range", id="label-negative"),
+    pytest.param(((2, 2), [[0, 0], [1, 0], [0, 1]], np.eye(4)[:3]), "split a level-1 node", id="split-prefix"),
+    pytest.param(((2, 2), [[0, 1], [0, 1]], np.eye(4)[:2]), "leaf labels repeat", id="repeated-leaf"),
+    pytest.param(((), np.zeros((0, 0)), np.zeros((0, 1))), "dims must be positive", id="no-dims"),
+    pytest.param(
+        {"tree": [{"index": [1], "children": [_leaf([2, 1])]}]}, r"label \(1, 0\) does not extend parent \(0,\)",
+        id="json-not-extending",
+    ),
+    pytest.param({"tree": [_leaf([1])]}, r"leaf \(0,\) with dims \(2, 2\) is not a level-2 leaf", id="json-leaf-level"),
+    pytest.param(
+        {"tree": [{"index": [1], "children": [_leaf([1, 1], (1.0, 0.0), (2,))]}]},
+        r"leaf \(0, 0\) with dims \(2,\) is not a level-2 leaf", id="json-leaf-dims",
+    ),
+    pytest.param({"tree": [{"index": [1]}]}, r"node \(0,\) has neither children nor a tensor", id="json-bare-node"),
+    pytest.param(
+        {"tree": [{"index": [1], "children": []}]}, r"node \(0,\) has neither children nor a tensor",
+        id="json-no-children",
+    ),
+    pytest.param(
+        {"tree": [{"index": [1], "children": [{"index": [1, 1], "children": [_leaf([1, 1, 1])]}]}]},
+        r"node \(0, 0\) has children below level 2", id="json-too-deep",
+    ),
+    pytest.param(
+        {"tree": [{"index": [3], "children": [_leaf([3, 1])]}]}, r"label \(2, 0\) out of range", id="json-label-high"
+    ),
+    pytest.param(
+        {"tree": [{"index": [0], "children": [_leaf([0, 1])]}]}, r"label \(-1, 0\) out of range", id="json-label-zero"
+    ),
+    pytest.param(
+        {"tree": [{"index": [1], "children": [_leaf([1, 1])]}, {"index": [2], "children": [_leaf([2, 1])]},
+                  {"index": [1], "children": [_leaf([1, 2])]}]},
+        r"duplicate label \(0,\)", id="json-split-prefix",
+    ),
+    pytest.param(
+        {"tree": [{"index": [1], "children": [_leaf([1, 1]), _leaf([1, 1])]}]}, r"duplicate label \(0, 0\)",
+        id="json-repeated-leaf",
+    ),
+    pytest.param(
+        {"tree": [{"index": [1], "children": [_leaf([1, 1], (math.nan, 0.0, 0.0, 0.0))]}]}, "must be finite",
+        id="json-nan",
+    ),
+]
+
+
+@pytest.mark.parametrize("tree, match", _MALFORMED)
+def test_malformed_trees_are_rejected(tree, match, tmp_path, capsys):
+    if not isinstance(tree, dict):
+        with pytest.raises(ValueError, match=match):
+            EchelonTree(*tree)
+        return
+    obj = {"dims": [2, 2], **tree}
+    with pytest.raises(ValueError, match=match):
+        EchelonTree.from_json_dict(obj)
+    # the CLI turns each into one error line and exit 1, never a traceback
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["echelon", "verify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # --- collapse ---------------------------------------------------------------
@@ -540,14 +659,32 @@ def test_certify_is_sound_and_ignores_leaf_order(case):
         x = np.multiply.outer(x, chi)
     x = x.ravel()
     assert got <= float(np.linalg.norm(x - vb @ (vb.T @ x))) + 1e-9
-    items = list(tree.leaf_tensors.items())
-    order = generator(len(items), "shuffle").permutation(len(items))
-    shuffled = EchelonTree(tree.tree, dict(items[i] for i in order))
+    # reorder whole level-1 subtrees, so the result is still a tree
+    subtrees = np.split(np.arange(len(tree.labels)), np.flatnonzero(np.diff(tree.labels[:, 0])) + 1)
+    order = generator(len(subtrees), "shuffle").permutation(len(subtrees))
+    rows = np.concatenate([subtrees[i] for i in order])
+    shuffled = EchelonTree(tree.dims, tree.labels[rows], tree.leaves[rows])
     assert certify_distance(shuffled, chis) == pytest.approx(got, rel=1e-12, abs=1e-15)
 
 
+@given(certified_points())
+def test_collapse_at_every_mode_relabels_leaf_tensors(case):
+    tree, _, _ = case
+    for mode in range(tree.height - 1):
+        flat = collapse(tree, mode)
+        d2 = tree.dims[mode + 1]
+        want = {
+            idx[:mode] + (idx[mode] * d2 + idx[mode + 1],) + idx[mode + 2 :]: t.data.reshape(flat.dims)
+            for idx, t in tree.leaf_tensors.items()
+        }
+        assert list(flat.leaf_tensors) == list(want)
+        for idx, t in flat.leaf_tensors.items():
+            np.testing.assert_array_equal(t.data, want[idx])
+        assert verify_echelon(flat).ok
+
+
 def test_certify_empty_tree_is_zero():
-    tree = EchelonTree(IndexTree((2, 2), ()), {})
+    tree = EchelonTree((2, 2), np.zeros((0, 2), dtype=int), np.zeros((0, 4)))
     assert certify_distance(tree, [np.ones(2), np.ones(2)]) == 0.0
 
 

@@ -156,8 +156,10 @@ def test_add_measurement_noise():
     np.testing.assert_allclose(delta, np.swapaxes(delta, 0, 2), atol=1e-15)
     again = add_measurement_noise(t, 1e-3, seed=4)
     np.testing.assert_array_equal(noisy.tensor.data, again.tensor.data)
-    with pytest.raises(ValueError):
-        add_measurement_noise(t, -1.0)
+    for eps in (-1.0, -0.5, math.nan, math.inf):
+        # NaN and negative levels used to return t, and inf died in numpy
+        with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
+            add_measurement_noise(t, eps)
 
 
 def test_measurement_producers_hand_their_arrays_over_uncopied(monkeypatch):
