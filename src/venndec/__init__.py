@@ -40,7 +40,6 @@ from .echelon import (
 from .decomp import (
     ConditionReport,
     DecompositionResult,
-    RankOneTerm,
     condition_report,
     factor_rank_one,
     jennrich,

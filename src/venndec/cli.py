@@ -115,26 +115,17 @@ def _cmd_decompose(args) -> int:
     else:
         t = Tensor.from_json_dict(obj)
     result = recover_rank_one_terms(t, args.m, seed=args.seed)
-    terms = []
-    for term in result.terms:
-        if term.order == 3:
-            a, b, c = term.factors
-            terms.append(
-                {
-                    "a": a.tolist(),
-                    "b": b.tolist(),
-                    "c": (term.scale * c).tolist(),
-                    "residual": term.residual,
-                }
-            )
-        else:
-            terms.append(
-                {
-                    "factors": [f.tolist() for f in term.factors],
-                    "scale": term.scale,
-                    "residual": term.residual,
-                }
-            )
+    # row j of each transposed factor matrix is term j's factor in that mode
+    F, residuals = result.factors, result.residuals.tolist()
+    if len(F) == 3:
+        a, b, c = (M.T.tolist() for M in (F[0], F[1], F[2] * result.scales))
+        terms = [{"a": a[j], "b": b[j], "c": c[j], "residual": r} for j, r in enumerate(residuals)]
+    else:
+        rows = [M.T.tolist() for M in F]
+        terms = [
+            {"factors": [mode[j] for mode in rows], "scale": s, "residual": r}
+            for j, (s, r) in enumerate(zip(result.scales.tolist(), residuals))
+        ]
     _emit_json(
         {
             "rank": result.rank,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack, orth, pinv, qr, svdvals
@@ -35,7 +34,6 @@ from .rng import generator
 from .tensor import Tensor, frozen_array, group, khatri_rao, outer
 
 __all__ = [
-    "RankOneTerm",
     "DecompositionResult",
     "ConditionReport",
     "jennrich",
@@ -56,36 +54,15 @@ _ALS_MAX_ROUNDS = 40
 
 
 @dataclass(frozen=True, eq=False)
-class RankOneTerm:
-    """One recovered term scale * factors[0] (x) ... (x) factors[ell-1].
-
-    Factors are unit 2-norm with a sign convention (first coordinate of
-    magnitude above 1e-8 of the max is positive); the scale absorbs the rest.
-    ``residual`` is a per-term diagnostic, see the producing routine.
-    """
-
-    factors: tuple[np.ndarray, ...]
-    scale: float
-    residual: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(frozen_array(np.ravel(f)) for f in self.factors))
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    def tensor(self) -> Tensor:
-        return Tensor(self.scale * outer(self.factors).data)
-
-
-@dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    """Factor matrices, one n_k x m per mode with unit columns signed as
-    ``RankOneTerm``'s factors are, and the m ``scales`` and per-term
-    ``residuals``, in order of decreasing |scale|; ``terms`` views them as
-    one ``RankOneTerm`` per term.  ``recon_residual`` is ||T - sum of terms||_F
-    against the decomposed tensor; ``polish_rounds`` counts ALS rounds.
+    """m rank-one terms scales[j] * factors[0][:, j] (x) ... (x) factors[ell-1][:, j].
+
+    ``factors`` holds one n_k x m matrix per mode with unit columns, each
+    signed so its first entry above 1e-8 of its largest magnitude is
+    positive; the m ``scales`` absorb the rest.  Terms come in order of
+    decreasing |scale|, each with a diagnostic ``residuals`` entry (see the
+    producing routine).  ``recon_residual`` is ||T - sum of terms||_F against
+    the decomposed tensor; ``polish_rounds`` counts ALS rounds.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -107,13 +84,6 @@ class DecompositionResult:
     def max_residual(self) -> float:
         return float(np.max(self.residuals, initial=0.0))
 
-    @cached_property
-    def terms(self) -> tuple[RankOneTerm, ...]:
-        return tuple(
-            RankOneTerm(tuple(F[:, j] for F in self.factors), float(s), float(r))
-            for j, (s, r) in enumerate(zip(self.scales, self.residuals))
-        )
-
 
 def _fix_signs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip each column of M so its first entry above 1e-8 of the column's
@@ -130,17 +100,20 @@ def _unit_columns(M: np.ndarray) -> np.ndarray:
     return M / np.where(norms > 0, norms, 1.0)
 
 
-def _als_refit(data: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _als_refit(
+    data: np.ndarray, A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Polish factor estimates by alternating least squares.
 
-    Keeps A and B unit-column, returns (A, B, C_scaled, rounds) where
-    C_scaled has one scaled third-mode factor per row and rounds is the
-    number of ALS rounds run.  Strips the eigenvector perturbation left by
-    the diagonalization step.  Stops at the first round that cuts the
-    residual by less than 10 % (``_ALS_STALL``), or after 40 rounds: a
-    good start stalls within a few rounds, a poor one keeps going while each
-    round still cuts the residual by more (though one flat round in an ALS
-    swamp stops it there too).
+    Keeps A and B unit-column, returns (A, B, C_scaled, residual, rounds)
+    where C_scaled has one scaled third-mode factor per row, residual is
+    ||X3 - khatri_rao([A, B]) @ C_scaled||_F on the mode-3 unfolding X3 of
+    data, and rounds is the number of ALS rounds run.  Strips the
+    eigenvector perturbation left by the diagonalization step.  Stops at the
+    first round that cuts the residual by less than 10 % (``_ALS_STALL``),
+    or after 40 rounds: a good start stalls within a few rounds, a poor one
+    keeps going while each round still cuts the residual by more (though one
+    flat round in an ALS swamp stops it there too).
 
     Each update solves the normal equations of its least-squares problem:
     the unfolding times the Khatri-Rao product of the two fixed factors
@@ -173,7 +146,7 @@ def _als_refit(data: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarr
         if res >= prev * (1.0 - _ALS_STALL):
             break
         prev = res
-    return A, B, C, rounds
+    return A, B, C, res, rounds
 
 
 def _leading_subspace(gram: np.ndarray, m: int) -> np.ndarray:
@@ -240,10 +213,8 @@ def jennrich(t: Tensor, m: int, seed: int = 0) -> DecompositionResult:
 
         # a real decomposition has the real eigenvalues (c_j.x)/(c_j.y)
         residuals = np.abs(la.imag) / np.maximum(np.abs(la), 1e-300)
-        A, B, c_scaled, rounds = _als_refit(t.data, A, B)
-        # the polished factors fit the mode-3 unfolding; the sign flips cancel
-        recon = float(np.linalg.norm(t.data.reshape(n1 * n2, n3) - khatri_rao([A, B]) @ c_scaled))
-
+        # the sign flips below cancel in the polish's residual
+        A, B, c_scaled, recon, rounds = _als_refit(t.data, A, B)
         A, sa = _fix_signs(A)
         B, sb = _fix_signs(B)
         c_rows = c_scaled * (sa * sb)[:, None]

@@ -259,18 +259,21 @@ class EchelonTree:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "EchelonTree":
         """Decode the nested on-disk tree; raises ValueError on a label that
-        does not extend its parent or repeats, a leaf off level ell or with
-        the wrong dims, a node with neither children nor a tensor, and
-        children below level ell."""
+        does not extend its parent, is out of range or repeats, a leaf off
+        level ell or with the wrong dims, a node with neither children nor a
+        tensor, and children below level ell.  Errors name labels 1-based,
+        as the file writes them."""
         dims = tuple(int(d) for d in obj["dims"])
         labels: list[tuple[int, ...]] = []
         leaves: list[np.ndarray] = []
         seen: set[tuple[int, ...]] = set()
 
         def decode(node_obj: Mapping, parent: tuple[int, ...]):
-            index = tuple(int(i) - 1 for i in node_obj["index"])
+            index = tuple(int(i) for i in node_obj["index"])
             if len(index) != len(parent) + 1 or index[:-1] != parent:
                 raise ValueError(f"label {index} does not extend parent {parent}")
+            if len(index) <= len(dims) and not 1 <= index[-1] <= dims[len(index) - 1]:
+                raise ValueError(f"label {index} out of range for dims {dims}")
             if index in seen:
                 raise ValueError(f"duplicate label {index}")
             seen.add(index)
@@ -294,7 +297,7 @@ class EchelonTree:
             decode(node_obj, ())
         matrix = np.array(leaves, dtype=float).reshape(len(leaves), math.prod(dims))
         matrix.flags.writeable = False  # our own copy: EchelonTree keeps it uncopied
-        return cls(dims, np.array(labels, dtype=np.int64).reshape(len(labels), len(dims)), matrix)
+        return cls(dims, np.array(labels, dtype=np.int64).reshape(len(labels), len(dims)) - 1, matrix)
 
 
 @dataclass(frozen=True)

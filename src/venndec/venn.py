@@ -113,7 +113,8 @@ class VennDiagram:
         if X.ndim != 2:
             raise ValueError("membership columns must form a 2-D matrix")
         n, m = X.shape
-        if X.size and np.max(np.abs(X - np.round(X))) > 1e-9:
+        # NaN, inf and every integer other than 0 and 1 fail this test
+        if not np.all((np.abs(X) <= 1e-9) | (np.abs(X - 1.0) <= 1e-9)):
             raise ValueError("membership entries must be 0/1")
         if weights is None:
             w = np.ones(m)
@@ -121,13 +122,15 @@ class VennDiagram:
             w = np.asarray(weights, dtype=float).ravel()
             if w.size != m:
                 raise ValueError(f"got {w.size} weights for {m} columns")
-        acc: dict[tuple[int, ...], float] = {}
-        for j in range(m):
-            pattern = tuple(int(round(b)) for b in X[:, j])
-            if pattern in acc and not merge_duplicates:
-                raise ValueError(f"duplicate column pattern {pattern}; pass merge_duplicates=True")
-            acc[pattern] = acc.get(pattern, 0.0) + float(w[j])
-        return cls(n, tuple(Region(p, wt) for p, wt in acc.items()))
+        P = np.round(X).astype(np.int64)
+        patterns, first, inv = np.unique(P.T, axis=0, return_index=True, return_inverse=True)
+        inv = inv.ravel()  # NumPy 2.0.x shapes it like P.T
+        if len(first) < m and not merge_duplicates:
+            j = int(np.flatnonzero(first[inv] != np.arange(m))[0])
+            raise ValueError(f"duplicate column pattern {tuple(P[:, j].tolist())}; pass merge_duplicates=True")
+        # bincount adds each pattern's weights in column order, from 0.0
+        totals = np.bincount(inv, weights=w).tolist()
+        return cls(n, tuple(Region(tuple(p), wt) for p, wt in zip(patterns.tolist(), totals)))
 
     def to_json_dict(self) -> dict:
         return {

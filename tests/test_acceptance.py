@@ -113,15 +113,16 @@ def test_criterion_04_jennrich_roundtrip():
         used = set()
         for j in range(m):
             best, best_dot = None, -1.0
-            for i, term in enumerate(result.terms):
+            for i, term in enumerate(result.factors[0].T):
                 if i in used:
                     continue
-                d = abs(float(term.factors[0] @ factors[0][:, j]))
+                d = abs(float(term @ factors[0][:, j]))
                 if d > best_dot:
                     best, best_dot = i, d
             used.add(best)
             truth = scales[j] * outer([f[:, j] for f in factors]).data
-            rel = np.linalg.norm(result.terms[best].tensor().data - truth) / np.linalg.norm(truth)
+            recovered = result.scales[best] * outer([F[:, best] for F in result.factors]).data
+            rel = np.linalg.norm(recovered - truth) / np.linalg.norm(truth)
             matched += rel <= 1e-6
         clean_ok += matched == m
     assert clean_ok >= 99, f"clean roundtrip matched in only {clean_ok}/100 trials"

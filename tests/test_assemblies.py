@@ -8,11 +8,13 @@ from venndec.assemblies import (
     AssemblyParams,
     AssociationGraph,
     Instruction,
+    _sample_universe,
     represent_graph,
     soft_build,
     soft_realize,
     verify_representation,
 )
+from venndec.rng import generator
 
 
 # --- graphs -------------------------------------------------------------------
@@ -181,6 +183,31 @@ def test_soft_sample_statistics():
     mean, sd = n * prob, math.sqrt(n * prob * (1 - prob))
     assert all(abs(k - mean) <= 5 * sd for k in sizes)
     assert len(set(sizes)) > 1
+
+
+def sample_universe_reference(rng, n_total, prob):
+    """The set-based rejection loop that ``_sample_universe`` replaced, kept
+    as the reference for its draws."""
+    k = int(rng.binomial(n_total, prob))
+    chosen = set()
+    while len(chosen) < k:
+        draw = rng.integers(0, n_total, size=k - len(chosen))
+        chosen.update(int(x) for x in draw)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_total", [1, 40, 3000])
+def test_sample_universe_matches_the_set_loop(n_total):
+    # rates near 1 take many rejection rounds; the generators must end in
+    # the same state, so later draws are unchanged too
+    for seed in range(4):
+        for idx in range(3):
+            for prob in (0.0, 0.05, 0.3, 0.9, 1.0):
+                got_rng, want_rng = generator(seed, "soft", idx), generator(seed, "soft", idx)
+                got = _sample_universe(got_rng, n_total, prob)
+                want = sample_universe_reference(want_rng, n_total, prob)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert got_rng.random() == want_rng.random()
 
 
 def test_soft_build_is_deterministic():

@@ -9,6 +9,8 @@ import pytest
 
 import venndec
 from venndec import cli
+from venndec.decomp import recover_rank_one_terms
+from venndec.venn import MeasurementTensor
 
 # the directory this process imports venndec from, so that a child process
 # runs the same package whether or not it is installed
@@ -91,11 +93,22 @@ def test_decompose_emits_terms(tmp_path, n, ell):
     assert obj["rank"] == m
     assert len(obj["terms"]) == m
     assert obj["recon_residual"] <= 1e-6
-    if ell == 3:
-        assert set(obj["terms"][0]) == {"a", "b", "c", "residual"}
-        return
-    for term in obj["terms"]:
+    # every emitted number is the matching entry of the factor matrices
+    want = recover_rank_one_terms(MeasurementTensor.from_json_dict(json.loads(tensor.read_text())).tensor, m)
+    F, scales = want.factors, want.scales
+    assert obj["max_residual"] == want.max_residual
+    assert obj["recon_residual"] == want.recon_residual
+    for j, term in enumerate(obj["terms"]):
+        assert term["residual"] == want.residuals[j]
+        if ell == 3:
+            assert set(term) == {"a", "b", "c", "residual"}
+            assert term["a"] == F[0][:, j].tolist()
+            assert term["b"] == F[1][:, j].tolist()
+            assert term["c"] == (scales[j] * F[2][:, j]).tolist()
+            continue
         assert set(term) == {"factors", "scale", "residual"}
+        assert term["factors"] == [M[:, j].tolist() for M in F]
+        assert term["scale"] == scales[j]
         assert len(term["factors"]) == ell
         assert all(np.linalg.norm(f) == pytest.approx(1.0) for f in term["factors"])
         assert term["scale"] > 0  # a region weight times its pattern's norm^ell
@@ -163,6 +176,31 @@ def test_echelon_build_and_verify(tmp_path):
     r = run_cli("echelon", "verify", "--input", str(tampered))
     assert r.returncode == 2
     assert json.loads(r.stdout)["ok"] is False
+
+
+def _tree_leaf(index, dims):
+    n = int(np.prod(dims))
+    return {"index": index, "tensor": {"dims": dims, "entries": [1.0] + [0.0] * (n - 1)}}
+
+
+@pytest.mark.parametrize(
+    "dims, tree, message",
+    [
+        ([2], [_tree_leaf([0], [2])], "label (0,) out of range for dims (2,)"),
+        ([2], [_tree_leaf([3], [2])], "label (3,) out of range for dims (2,)"),
+        (
+            [2, 2],
+            [{"index": [1], "children": [_tree_leaf([2, 1], [2, 2])]}],
+            "label (2, 1) does not extend parent (1,)",
+        ),
+    ],
+    ids=["label-zero", "label-high", "bad-parent"],
+)
+def test_echelon_verify_names_labels_as_the_file_writes_them(tmp_path, capsys, dims, tree, message):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"dims": dims, "tree": tree}))
+    assert cli.main(["echelon", "verify", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_experiment_outputs_reproduce(tmp_path):

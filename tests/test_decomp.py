@@ -9,7 +9,6 @@ from scipy.linalg import pinv, subspace_angles, svdvals
 from venndec import decomp
 from venndec.decomp import (
     ConditionReport,
-    RankOneTerm,
     _als_refit,
     _fix_signs,
     _group_for_jennrich,
@@ -38,21 +37,27 @@ def random_terms(rng, dims, m):
     return factors, scales, Tensor(data)
 
 
+def term_tensor(result, i):
+    """Dense tensor of the result's term i."""
+    return result.scales[i] * outer([F[:, i] for F in result.factors]).data
+
+
 def match_terms(result, true_factors, true_scales):
-    """Greedy pairing of recovered terms to ground truth by first factor."""
+    """Greedy pairing of recovered terms to ground truth by first factor:
+    (truth index, recovered term index) pairs."""
     m = len(true_scales)
     used = set()
     pairs = []
     for j in range(m):
         best, best_dot = None, -1.0
-        for i, term in enumerate(result.terms):
+        for i in range(result.rank):
             if i in used:
                 continue
-            d = abs(float(term.factors[0] @ true_factors[0][:, j]))
+            d = abs(float(result.factors[0][:, i] @ true_factors[0][:, j]))
             if d > best_dot:
                 best, best_dot = i, d
         used.add(best)
-        pairs.append((j, result.terms[best]))
+        pairs.append((j, best))
     return pairs
 
 
@@ -63,12 +68,10 @@ def test_jennrich_diagonal_example():
     result = jennrich(Tensor(data), 2, seed=0)
     assert result.rank == 2
     # sorted by descending |scale|
-    assert result.terms[0].scale == pytest.approx(2.0, abs=1e-9)
-    assert result.terms[1].scale == pytest.approx(1.0, abs=1e-9)
-    for f in result.terms[0].factors:
-        np.testing.assert_allclose(f, [0.0, 1.0, 0.0], atol=1e-9)
-    for f in result.terms[1].factors:
-        np.testing.assert_allclose(f, [1.0, 0.0, 0.0], atol=1e-9)
+    assert result.scales[0] == pytest.approx(2.0, abs=1e-9)
+    assert result.scales[1] == pytest.approx(1.0, abs=1e-9)
+    for F in result.factors:
+        np.testing.assert_allclose(F, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], atol=1e-9)
     assert result.recon_residual <= 1e-9
 
 
@@ -76,9 +79,8 @@ def test_jennrich_rank_one_roundtrip():
     rng = generator(1, "rank1")
     factors, scales, t = random_terms(rng, (4, 5, 6), 1)
     result = jennrich(t, 1, seed=3)
-    term = result.terms[0]
-    np.testing.assert_allclose(term.tensor().data, t.data, atol=1e-8)
-    assert abs(abs(term.scale) - abs(scales[0])) <= 1e-8
+    np.testing.assert_allclose(term_tensor(result, 0), t.data, atol=1e-8)
+    assert abs(abs(result.scales[0]) - abs(scales[0])) <= 1e-8
     assert result.recon_residual <= 1e-8
 
 
@@ -89,9 +91,9 @@ def test_jennrich_random_instances_match_truth():
         factors, scales, t = random_terms(rng, (n, n, n), m)
         result = jennrich(t, m, seed=trial)
         assert result.rank == m
-        for j, term in match_terms(result, factors, scales):
+        for j, i in match_terms(result, factors, scales):
             truth = scales[j] * outer([f[:, j] for f in factors]).data
-            rel = np.linalg.norm(term.tensor().data - truth) / np.linalg.norm(truth)
+            rel = np.linalg.norm(term_tensor(result, i) - truth) / np.linalg.norm(truth)
             assert rel <= 1e-6, f"trial {trial} term {j}: rel err {rel:.2e}"
         assert result.recon_residual <= 1e-6 * np.linalg.norm(t.data)
 
@@ -115,7 +117,7 @@ def test_jennrich_residual_is_zero_on_an_exact_real_tensor():
     _, _, t = random_terms(rng, (7, 6, 5), 4)
     result = jennrich(t, 4, seed=1)
     assert result.max_residual == 0.0
-    assert all(term.residual == 0.0 for term in result.terms)
+    assert not np.any(result.residuals)
 
 
 def test_jennrich_residual_flags_a_tensor_without_a_real_rank_two_fit():
@@ -126,7 +128,7 @@ def test_jennrich_residual_flags_a_tensor_without_a_real_rank_two_fit():
     data[:, :, 1] = [[0.0, -1.0], [1.0, 0.0]]
     result = jennrich(Tensor(data), 2, seed=0)
     assert result.max_residual > 0.1
-    assert all(term.residual > 0.1 for term in result.terms)
+    assert np.all(result.residuals > 0.1)
 
 
 def test_jennrich_scale_invariance():
@@ -134,10 +136,9 @@ def test_jennrich_scale_invariance():
     _, _, t = random_terms(rng, (5, 5, 5), 3)
     base = jennrich(t, 3, seed=7)
     scaled = jennrich(Tensor(3.0 * t.data), 3, seed=7)
-    for a, b in zip(base.terms, scaled.terms):
-        assert b.scale / a.scale == pytest.approx(3.0, rel=1e-8)
-        for fa, fb in zip(a.factors, b.factors):
-            np.testing.assert_allclose(fa, fb, atol=1e-8)
+    np.testing.assert_allclose(scaled.scales / base.scales, 3.0, rtol=1e-8)
+    for Fa, Fb in zip(base.factors, scaled.factors):
+        np.testing.assert_allclose(Fa, Fb, atol=1e-8)
 
 
 def test_jennrich_detects_eigenvalue_collision():
@@ -171,9 +172,9 @@ def test_jennrich_recovers_terms_across_four_decades_of_scale():
         scales = np.logspace(0, -4, m) * np.sign(signs)
         data = sum(scales[j] * outer([f[:, j] for f in factors]).data for j in range(m))
         result = jennrich(Tensor(data), m, seed=trial)
-        for j, term in match_terms(result, factors, scales):
+        for j, i in match_terms(result, factors, scales):
             truth = scales[j] * outer([f[:, j] for f in factors]).data
-            rel = np.linalg.norm(term.tensor().data - truth) / np.linalg.norm(truth)
+            rel = np.linalg.norm(term_tensor(result, i) - truth) / np.linalg.norm(truth)
             assert rel <= 1e-6, f"trial {trial} term {j} (scale {scales[j]:.0e}): rel err {rel:.2e}"
 
 
@@ -212,7 +213,7 @@ def test_recon_residual_matches_dense_sum_of_terms(dims, decompose):
     _, _, t = random_terms(rng, dims, 4)
     noisy = Tensor(t.data + 1e-4 * rng.standard_normal(dims))
     result = decompose(noisy, 4, seed=2)
-    dense = float(np.linalg.norm(noisy.data - sum(term.tensor().data for term in result.terms)))
+    dense = float(np.linalg.norm(noisy.data - sum(term_tensor(result, i) for i in range(result.rank))))
     assert dense > 1e-3  # the noise leaves a misfit
     assert result.recon_residual == pytest.approx(dense, rel=1e-9)
 
@@ -229,8 +230,9 @@ def test_als_polish_keeps_going_from_a_poor_start():
         factors, _, t = random_terms(rng, (10, 10, 10), 4)
         data = t.data + 1e-8 * rng.standard_normal(t.dims)
         A, B = (f + 0.3 * rng.standard_normal(f.shape) for f in factors[:2])
-        *fitted, rounds = _als_refit(data, A, B)
-        converged += rounds > 10 and fit_residual(data, *fitted) <= 1e-6
+        *fitted, res, rounds = _als_refit(data, A, B)
+        assert res == fit_residual(data, *fitted)
+        converged += rounds > 10 and res <= 1e-6
     assert converged >= 17
 
 
@@ -278,7 +280,7 @@ def test_als_refit_rank_deficient_khatri_rao_matches_lstsq():
     A, B = (f[:, [0, 1, 1]] for f in start)
     assert np.linalg.matrix_rank(np.einsum("ir,jr->ijr", A, B).reshape(42, 3)) == 2
 
-    *got, _ = _als_refit(data, A, B)
+    *got, _, _ = _als_refit(data, A, B)
     want = als_refit_lstsq(data, A, B)
     assert all(np.all(np.isfinite(x)) for x in got)
     assert fit_residual(data, *got) == pytest.approx(fit_residual(data, *want), rel=1e-6)
@@ -323,17 +325,17 @@ def test_recover_order4_roundtrip():
     factors, scales, t = random_terms(rng, (4, 4, 4, 4), 3)
     result = recover_rank_one_terms(t, 3, seed=2)
     assert result.rank == 3
-    assert all(term.order == 4 for term in result.terms)
+    assert len(result.factors) == 4
     assert result.recon_residual <= 1e-6 * np.linalg.norm(t.data)
     assert result.max_residual <= 1e-6
     assert result.polish_rounds == jennrich(_group_for_jennrich(t)[0], 3, seed=2).polish_rounds
-    for j, term in match_terms(result, factors, scales):
+    for j, i in match_terms(result, factors, scales):
         truth = scales[j] * outer([f[:, j] for f in factors]).data
-        rel = np.linalg.norm(term.tensor().data - truth) / np.linalg.norm(truth)
+        rel = np.linalg.norm(term_tensor(result, i) - truth) / np.linalg.norm(truth)
         assert rel <= 1e-6
 
 
-# --- factor matrices and the terms view ----------------------------------------
+# --- factor matrices ------------------------------------------------------------
 
 
 def _fix_sign_reference(v):
@@ -379,43 +381,30 @@ def test_fix_signs_matches_the_per_vector_rule(M):
         assert signs[j] == ref_sign
 
 
-def _assert_terms_view_matches(result):
-    assert len(result.terms) == result.rank == len(result.scales) == len(result.residuals)
-    assert result.max_residual == max(term.residual for term in result.terms)
+def _assert_factor_matrices(result):
+    assert result.rank == len(result.scales) == len(result.residuals)
+    assert all(F.shape[1] == result.rank for F in result.factors)
+    assert result.max_residual == max(result.residuals)
     assert not any(arr.flags.writeable for arr in (*result.factors, result.scales, result.residuals))
     for F in result.factors:
         np.testing.assert_allclose(np.linalg.norm(F, axis=0), 1.0, rtol=1e-12)
-    for j, term in enumerate(result.terms):
-        assert term.order == len(result.factors)
-        for f, F in zip(term.factors, result.factors):
-            assert f.tobytes() == F[:, j].tobytes()
-        assert term.scale == result.scales[j]
-        assert term.residual == result.residuals[j]
     assert list(np.abs(result.scales)) == sorted(np.abs(result.scales), reverse=True)
 
 
-def test_jennrich_terms_view_the_factor_matrices():
+def test_jennrich_factor_matrices():
     rng = generator(21, "terms-view")
     _, _, t = random_terms(rng, (6, 7, 5), 4)
     noisy = Tensor(t.data + 1e-3 * rng.standard_normal(t.dims))
-    _assert_terms_view_matches(jennrich(noisy, 4, seed=3))
+    _assert_factor_matrices(jennrich(noisy, 4, seed=3))
 
 
-def test_recover_terms_view_the_factor_matrices_at_order_5():
+def test_recover_factor_matrices_at_order_5():
     x = perturb_memberships(MembershipMatrix(np.ones((6, 4)), 6), BitFlip(0.5), seed=7).X
     v = VennDiagram.from_columns(x, merge_duplicates=True)
     t = add_measurement_noise(intersection_tensor(v, 5), 1e-3, seed=7).tensor
     result = recover_rank_one_terms(t, v.m, seed=7)
     assert [F.shape for F in result.factors] == [(6, v.m)] * 5
-    _assert_terms_view_matches(result)
-
-
-def test_rank_one_term_owns_its_factors():
-    f = np.array([1.0, 2.0, 3.0])
-    term = RankOneTerm((f, f[:2]), scale=1.0, residual=0.0)
-    f[0] = 5.0
-    assert term.factors[0][0] == 1.0 and term.factors[1][0] == 1.0
-    assert f.flags.writeable
+    _assert_factor_matrices(result)
 
 
 def test_condition_report_owns_its_leave_one_out_distances():

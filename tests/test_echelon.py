@@ -459,36 +459,36 @@ _MALFORMED = [
     pytest.param(((2, 2), [[0, 1], [0, 1]], np.eye(4)[:2]), "leaf labels repeat", id="repeated-leaf"),
     pytest.param(((), np.zeros((0, 0)), np.zeros((0, 1))), "dims must be positive", id="no-dims"),
     pytest.param(
-        {"tree": [{"index": [1], "children": [_leaf([2, 1])]}]}, r"label \(1, 0\) does not extend parent \(0,\)",
+        {"tree": [{"index": [1], "children": [_leaf([2, 1])]}]}, r"label \(2, 1\) does not extend parent \(1,\)",
         id="json-not-extending",
     ),
-    pytest.param({"tree": [_leaf([1])]}, r"leaf \(0,\) with dims \(2, 2\) is not a level-2 leaf", id="json-leaf-level"),
+    pytest.param({"tree": [_leaf([1])]}, r"leaf \(1,\) with dims \(2, 2\) is not a level-2 leaf", id="json-leaf-level"),
     pytest.param(
         {"tree": [{"index": [1], "children": [_leaf([1, 1], (1.0, 0.0), (2,))]}]},
-        r"leaf \(0, 0\) with dims \(2,\) is not a level-2 leaf", id="json-leaf-dims",
+        r"leaf \(1, 1\) with dims \(2,\) is not a level-2 leaf", id="json-leaf-dims",
     ),
-    pytest.param({"tree": [{"index": [1]}]}, r"node \(0,\) has neither children nor a tensor", id="json-bare-node"),
+    pytest.param({"tree": [{"index": [1]}]}, r"node \(1,\) has neither children nor a tensor", id="json-bare-node"),
     pytest.param(
-        {"tree": [{"index": [1], "children": []}]}, r"node \(0,\) has neither children nor a tensor",
+        {"tree": [{"index": [1], "children": []}]}, r"node \(1,\) has neither children nor a tensor",
         id="json-no-children",
     ),
     pytest.param(
         {"tree": [{"index": [1], "children": [{"index": [1, 1], "children": [_leaf([1, 1, 1])]}]}]},
-        r"node \(0, 0\) has children below level 2", id="json-too-deep",
+        r"node \(1, 1\) has children below level 2", id="json-too-deep",
     ),
     pytest.param(
-        {"tree": [{"index": [3], "children": [_leaf([3, 1])]}]}, r"label \(2, 0\) out of range", id="json-label-high"
+        {"tree": [{"index": [3], "children": [_leaf([3, 1])]}]}, r"label \(3,\) out of range", id="json-label-high"
     ),
     pytest.param(
-        {"tree": [{"index": [0], "children": [_leaf([0, 1])]}]}, r"label \(-1, 0\) out of range", id="json-label-zero"
+        {"tree": [{"index": [0], "children": [_leaf([0, 1])]}]}, r"label \(0,\) out of range", id="json-label-zero"
     ),
     pytest.param(
         {"tree": [{"index": [1], "children": [_leaf([1, 1])]}, {"index": [2], "children": [_leaf([2, 1])]},
                   {"index": [1], "children": [_leaf([1, 2])]}]},
-        r"duplicate label \(0,\)", id="json-split-prefix",
+        r"duplicate label \(1,\)", id="json-split-prefix",
     ),
     pytest.param(
-        {"tree": [{"index": [1], "children": [_leaf([1, 1]), _leaf([1, 1])]}]}, r"duplicate label \(0, 0\)",
+        {"tree": [{"index": [1], "children": [_leaf([1, 1]), _leaf([1, 1])]}]}, r"duplicate label \(1, 1\)",
         id="json-repeated-leaf",
     ),
     pytest.param(

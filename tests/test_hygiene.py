@@ -5,6 +5,7 @@ name in its ``__all__``.  ``__init__.py`` is skipped: its imports are the
 package's re-exports.  Every name the benchmark's tracer wraps (``LAYERS`` in
 ``perfbench/spans.py``, read here without importing it) must resolve on its
 ``venndec`` module, so a rename shows up here and not only in a traced run.
+No module may use a NumPy name that the declared floor, NumPy 1.24, lacks.
 """
 
 import ast
@@ -89,3 +90,80 @@ def test_every_benchmark_span_name_resolves():
             if obj is None:
                 missing.append(f"{layer}.{name}")
     assert layers and not missing, f"benchmark spans name nothing in venndec: {missing}"
+
+
+_NUMPY_FLOOR = "numpy>=1.24"
+# NumPy names added after 1.24, as dotted paths below the numpy namespace
+_NUMPY_AFTER_FLOOR = {
+    "vecdot", "matrix_transpose", "linalg.vecdot", "linalg.matrix_transpose", "linalg.vector_norm",
+    "linalg.matrix_norm", "linalg.svdvals", "linalg.cross", "linalg.outer", "linalg.diagonal",
+    "linalg.trace", "linalg.matmul", "linalg.tensordot", "unique_values", "unique_counts",
+    "unique_inverse", "unique_all", "astype", "concat", "permute_dims", "pow", "acos", "acosh",
+    "asin", "asinh", "atan", "atan2", "atanh", "bitwise_left_shift", "bitwise_right_shift",
+    "bitwise_invert", "isdtype", "trapezoid", "cumulative_sum", "cumulative_prod", "unstack",
+    "matvec", "vecmat", "bool", "long", "ulong", "exceptions", "dtypes",
+}
+
+
+def _numpy_names_after_floor(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, dotted name) of each use of a name in ``_NUMPY_AFTER_FLOOR``,
+    through ``import numpy``, ``import numpy.x as y`` or ``from numpy... import``."""
+    aliases = {}  # local name -> its dotted path below numpy ("" for numpy itself)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "numpy":
+                    if alias.asname:
+                        aliases[alias.asname] = ".".join(parts[1:])
+                    else:
+                        aliases["numpy"] = ""
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "numpy":
+            base = node.module.split(".")[1:]
+            for alias in node.names:
+                path = ".".join([*base, alias.name])
+                aliases[alias.asname or alias.name] = path
+                found.append((node.lineno, path))
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if id(node) in inner:
+            continue  # part of a longer attribute chain, which is read whole
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            found.append((node.lineno, ".".join(filter(None, [aliases[node.id], *reversed(chain)]))))
+    return sorted(
+        (line, path)
+        for line, path in set(found)
+        if any(".".join(path.split(".")[:k]) in _NUMPY_AFTER_FLOOR for k in range(1, path.count(".") + 2))
+    )
+
+
+def test_numpy_floor_is_declared():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'"{_NUMPY_FLOOR}"' in pyproject.read_text(), f"pyproject no longer declares {_NUMPY_FLOOR}"
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_numpy_name_after_the_floor(path):
+    found = _numpy_names_after_floor(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} uses NumPy names missing from {_NUMPY_FLOOR}: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("import numpy as np\nnp.vecdot(a, b)", [(2, "vecdot")]),
+        ("import numpy\nnumpy.linalg.vector_norm(a)", [(2, "linalg.vector_norm")]),
+        ("import numpy.linalg as la\nla.matrix_norm(a)", [(2, "linalg.matrix_norm")]),
+        ("from numpy.linalg import svdvals", [(1, "linalg.svdvals")]),
+        ("import numpy as np\nnp.exceptions.AxisError", [(2, "exceptions.AxisError")]),
+        ("import numpy as np\nnp.linalg.norm(a.astype(float))\nnp.unique(a)", []),
+        ("from scipy.linalg import svdvals\nsvdvals(a)", []),
+    ],
+)
+def test_numpy_floor_check_finds_names(source, want):
+    assert _numpy_names_after_floor(ast.parse(source)) == want

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,53 @@ def test_from_columns_default_unit_weights():
     assert v.regions[0].weight == 1.0
     with pytest.raises(ValueError, match="0/1"):
         VennDiagram.from_columns(np.array([[0.5], [0.0]]))
+
+
+def from_columns_reference(x, weights=None, merge_duplicates=False):
+    """The column-by-column merge that ``from_columns`` replaced, kept as
+    the reference for 0/1 input."""
+    X = np.asarray(x, dtype=float)
+    n, m = X.shape
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float).ravel()
+    acc = {}
+    for j in range(m):
+        pattern = tuple(int(round(b)) for b in X[:, j])
+        if pattern in acc and not merge_duplicates:
+            raise ValueError(f"duplicate column pattern {pattern}; pass merge_duplicates=True")
+        acc[pattern] = acc.get(pattern, 0.0) + float(w[j])
+    return VennDiagram(n, tuple(Region(p, wt) for p, wt in acc.items()))
+
+
+def test_from_columns_matches_the_column_loop():
+    # few rows make repeated patterns common; weights span ten decades, so
+    # the merged sums round, and entries sit up to 1e-10 off 0/1
+    rng = generator(0, "from-columns")
+    for _ in range(300):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 13))
+        x = rng.integers(0, 2, size=(n, m)) + rng.uniform(-1e-10, 1e-10, size=(n, m)) * rng.integers(0, 2)
+        w = 10.0 ** rng.uniform(-5.0, 5.0, size=m)
+        for merge in (False, True):
+            try:
+                want = from_columns_reference(x, w, merge)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    VennDiagram.from_columns(x, w, merge)
+                continue
+            got = VennDiagram.from_columns(x, w, merge)
+            assert got.n == want.n
+            assert [(r.pattern, r.weight) for r in got.regions] == [(r.pattern, r.weight) for r in want.regions]
+            assert all(type(b) is int for r in got.regions for b in r.pattern)
+
+
+@pytest.mark.parametrize("bad", [2.0, -1.0, math.nan, math.inf, 1e20])
+def test_from_columns_rejects_entries_other_than_0_1(bad):
+    with pytest.raises(ValueError, match="0/1"):
+        VennDiagram.from_columns(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+def test_from_columns_takes_no_columns():
+    v = VennDiagram.from_columns(np.zeros((3, 0)))
+    assert v.n == 3 and v.m == 0
 
 
 def test_diagram_json_roundtrip():
