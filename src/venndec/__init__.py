@@ -21,7 +21,6 @@ from .perturb import (
     Gaussian,
     MembershipMatrix,
     NondetParams,
-    empirical_nondet_check,
     nondet_params,
     perturb_memberships,
 )

@@ -34,6 +34,9 @@ __all__ = [
     "soft_realize",
 ]
 
+# soft_realize's default slack on each edge pool's rate, a*(1+margin)/N
+SOFT_MARGIN = 0.4
+
 
 @dataclass(frozen=True, eq=False)
 class AssociationGraph:
@@ -84,7 +87,10 @@ class AssociationGraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_edge_list_text(cls, text: str, n_vertices: int | None = None) -> "AssociationGraph":
+    def from_edge_list_text(cls, text: str) -> "AssociationGraph":
+        """Parse ``to_edge_list_text``'s format; without a '# vertices' header
+        the largest label sets the vertex count."""
+        n_vertices = None
         edges = []
         seen_max = 0
         for raw in text.splitlines():
@@ -134,12 +140,9 @@ class AssemblyFamily:
 
     N: int
     sets: tuple[np.ndarray, ...]
-    size_mode: str = "exact"
 
     def __post_init__(self):
         object.__setattr__(self, "N", int(self.N))
-        if self.size_mode not in ("exact", "expected"):
-            raise ValueError(f"size_mode must be 'exact' or 'expected', got {self.size_mode!r}")
         fixed = []
         for i, s in enumerate(self.sets):
             arr = np.unique(np.asarray(s, dtype=np.int64))
@@ -207,26 +210,26 @@ def verify_representation(
     g: AssociationGraph,
     family: AssemblyFamily,
     p: AssemblyParams,
-    size_mode: str | None = None,
+    size_mode: str = "exact",
 ) -> RepresentationReport:
     """Check every pair and every size against the thresholds.
 
-    Exact mode requires |S_v| = K; expected mode (soft model) tolerates
-    |S_v| within K plus or minus 3*sqrt(K).
+    ``size_mode="exact"`` (the default, for ``represent_graph``) requires
+    |S_v| = K; ``"expected"`` (for ``soft_realize``, whose sizes are K only
+    on average) tolerates |S_v| within K plus or minus 3*sqrt(K).
     """
     if len(family.sets) != g.n_vertices:
         raise ValueError(
             f"family has {len(family.sets)} sets for {g.n_vertices} vertices"
         )
-    mode = size_mode if size_mode is not None else family.size_mode
-    if mode not in ("exact", "expected"):
-        raise ValueError(f"size_mode must be 'exact' or 'expected', got {mode!r}")
+    if size_mode not in ("exact", "expected"):
+        raise ValueError(f"size_mode must be 'exact' or 'expected', got {size_mode!r}")
 
     violations: list[RepresentationViolation] = []
     slack = 3.0 * math.sqrt(p.K)
     for v, s in enumerate(family.sets):
         size = int(s.size)
-        if mode == "exact":
+        if size_mode == "exact":
             if size != p.K:
                 violations.append(RepresentationViolation("size", (v,), size))
         elif abs(size - p.K) > slack:
@@ -340,7 +343,7 @@ def soft_realize(
     g: AssociationGraph,
     p: AssemblyParams,
     seed: int = 0,
-    margin: float = 0.4,
+    margin: float = SOFT_MARGIN,
 ) -> tuple[AssemblyFamily, tuple[Instruction, ...]]:
     """Realize a graph in the soft model; returns the family and its transcript.
 
@@ -391,5 +394,5 @@ def soft_realize(
 
     env = soft_build(program, p.N, seed)
     sets = tuple(env[f"set_{v + 1}"] for v in range(g.n_vertices))
-    family = AssemblyFamily(p.N, sets, size_mode="expected")
+    family = AssemblyFamily(p.N, sets)
     return family, tuple(program)

@@ -26,7 +26,7 @@ from .echelon import (
 )
 from .perturb import MembershipMatrix, model_from_json_dict, perturb_memberships
 from .rng import generator
-from .tensor import Tensor
+from .tensor import Tensor, json_int
 from .venn import (
     MeasurementTensor,
     VennDiagram,
@@ -168,8 +168,10 @@ def _cmd_diff(args) -> int:
 
 def _cmd_echelon(args) -> int:
     if args.action == "build":
+        if args.config is None:
+            raise ValueError("echelon build needs --config")
         cfg = _load_json(args.config)
-        dims = [int(d) for d in cfg["dims"]]
+        dims = [json_int(d, "dims entry") for d in cfg["dims"]]
         if "w_vectors" in cfg:
             w = SubspaceBasis.from_span(np.asarray(cfg["w_vectors"], dtype=float).T, dims)
         elif "v_vectors" in cfg:
@@ -186,6 +188,8 @@ def _cmd_echelon(args) -> int:
             f"{len(trace.records)} recursion steps\n"
         )
         return _EXIT_OK
+    if args.input is None:
+        raise ValueError("echelon verify needs --input")
     tree = EchelonTree.from_json_dict(_load_json(args.input))
     report = verify_echelon(tree, tolerance=args.tolerance)
     _emit_json(
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="build config: dims, alphas, v_vectors|w_vectors")
     p.add_argument("--input", default=None, help="tree JSON (verify)")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_echelon_dispatch)
+    p.set_defaults(func=_cmd_echelon)
 
     p = add("experiment", parents=[out], help="run a seeded Monte Carlo experiment")
     p.add_argument("--config", required=True, help="experiment config JSON (or a previous report)")
@@ -289,14 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     return parser
-
-
-def _cmd_echelon_dispatch(args) -> int:
-    if args.action == "build" and args.config is None:
-        raise ValueError("echelon build needs --config")
-    if args.action == "verify" and args.input is None:
-        raise ValueError("echelon verify needs --input")
-    return _cmd_echelon(args)
 
 
 def main(argv=None) -> int:

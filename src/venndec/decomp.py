@@ -242,12 +242,6 @@ def _halves(ell: int) -> tuple[int, int, int]:
     return g1, ell - 1 - g1, 1
 
 
-def _group_for_jennrich(t: Tensor) -> tuple[Tensor, tuple[int, int, int]]:
-    """The order-3 tensor of the halves grouping, and its block sizes."""
-    sizes = _halves(t.order)
-    return group(t, sizes), sizes
-
-
 def factor_rank_one(matrix_or_tensor: np.ndarray) -> tuple[list[np.ndarray], float, float]:
     """Rank-one factorization R ~ scale * v_1 (x) ... (x) v_k by SVD peeling.
 
@@ -294,8 +288,8 @@ def recover_rank_one_terms(t: Tensor, m: int, seed: int = 0) -> DecompositionRes
     """
     if t.order == 3:
         return jennrich(t, m, seed=seed)
-    gt, sizes = _group_for_jennrich(t)
-    base = jennrich(gt, m, seed=seed)
+    sizes = _halves(t.order)
+    base = jennrich(group(t, sizes), m, seed=seed)
 
     F: list[np.ndarray] = []
     scales, residuals = base.scales, base.residuals

@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import lapack, null_space, qr, svdvals
 
-from .tensor import Tensor, frozen_array, khatri_rao
+from .tensor import Tensor, frozen_array, json_int, khatri_rao
 
 __all__ = [
     "SubspaceBasis",
@@ -263,13 +263,13 @@ class EchelonTree:
         level ell or with the wrong dims, a node with neither children nor a
         tensor, and children below level ell.  Errors name labels 1-based,
         as the file writes them."""
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = tuple(json_int(d, "dims entry") for d in obj["dims"])
         labels: list[tuple[int, ...]] = []
         leaves: list[np.ndarray] = []
         seen: set[tuple[int, ...]] = set()
 
         def decode(node_obj: Mapping, parent: tuple[int, ...]):
-            index = tuple(int(i) for i in node_obj["index"])
+            index = tuple(json_int(i, "label entry") for i in node_obj["index"])
             if len(index) != len(parent) + 1 or index[:-1] != parent:
                 raise ValueError(f"label {index} does not extend parent {parent}")
             if len(index) <= len(dims) and not 1 <= index[-1] <= dims[len(index) - 1]:

@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.linalg import svdvals
 
-from .assemblies import AssemblyParams, AssociationGraph, soft_realize, verify_representation
+from .assemblies import SOFT_MARGIN, AssemblyParams, AssociationGraph, soft_realize, verify_representation
 from .echelon import BranchingSpec, SubspaceBasis, build_echelon_tree, certify_distance, orthogonal_complement, verify_echelon
 from .perturb import MembershipMatrix, NondetParams, model_from_json_dict, nondet_params, perturb_memberships
 from .rng import generator, spawn_seed
@@ -303,7 +303,7 @@ def run_soft_model_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Repeated soft realizations of a graph, verified in expected-size mode."""
     g = _parse_graph(cfg.graph)
     params = AssemblyParams(N=cfg.N, K=cfg.K, a=cfg.a, b=cfg.b)
-    margin = cfg.margin if cfg.margin is not None else 0.4
+    margin = cfg.margin if cfg.margin is not None else SOFT_MARGIN
     by_kind = {"edge": 0, "non_edge": 0, "size": 0}
 
     def trial(seed_t: int) -> dict:

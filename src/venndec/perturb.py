@@ -7,9 +7,7 @@ total variance rho^2.
 
 Both are interval-bounded: conditioned on all other coordinates, a single
 coordinate lands in any open interval (t - delta, t + delta) with probability
-at most p.  ``nondet_params`` returns a valid (delta, p) pair per model, and
-``empirical_nondet_check`` estimates the worst interval hit rate by Monte
-Carlo and compares it against p with binomial slack.
+at most p.  ``nondet_params`` returns a valid (delta, p) pair per model.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .rng import generator, spawn_seed
-from .tensor import frozen_array
+from .rng import generator
+from .tensor import frozen_array, json_int
 
 __all__ = [
     "BitFlip",
@@ -30,11 +28,8 @@ __all__ = [
     "NondetParams",
     "MembershipMatrix",
     "model_from_json_dict",
-    "model_to_json_dict",
     "nondet_params",
     "perturb_memberships",
-    "empirical_nondet_check",
-    "NondetCheckReport",
 ]
 
 
@@ -57,14 +52,6 @@ class Gaussian:
 
 
 PerturbationModel = Union[BitFlip, Gaussian]
-
-
-def model_to_json_dict(model: PerturbationModel) -> dict:
-    if isinstance(model, BitFlip):
-        return {"model": "bitflip", "q": model.q}
-    if isinstance(model, Gaussian):
-        return {"model": "gaussian", "rho": model.rho}
-    raise TypeError(f"unknown perturbation model {type(model).__name__}")
 
 
 def model_from_json_dict(obj: Mapping) -> PerturbationModel:
@@ -127,8 +114,8 @@ class MembershipMatrix:
         if cols.ndim != 2:
             raise ValueError("columns must be a list of equal-length vectors")
         X = cols.T
-        n = int(obj.get("n", X.shape[0]))
-        if "m" in obj and int(obj["m"]) != X.shape[1]:
+        n = json_int(obj.get("n", X.shape[0]), "n")
+        if "m" in obj and json_int(obj["m"], "m") != X.shape[1]:
             raise ValueError(f"m={obj['m']} does not match {X.shape[1]} columns")
         return cls(X=X, n=n)
 
@@ -174,73 +161,3 @@ def perturb_memberships(x0: MembershipMatrix, model: PerturbationModel, seed: in
     else:
         raise TypeError(f"unknown perturbation model {type(model).__name__}")
     return MembershipMatrix(X=out, n=x0.n)
-
-
-@dataclass(frozen=True)
-class NondetCheckReport:
-    delta: float
-    p: float
-    trials: int
-    max_rate: float
-    slack: float
-    worst_coord: int
-    worst_center: float
-    passed: bool
-
-
-def empirical_nondet_check(
-    model: PerturbationModel,
-    x0: MembershipMatrix,
-    delta: float,
-    trials: int,
-    seed: int,
-    p: float | None = None,
-    max_coords: int = 64,
-) -> NondetCheckReport:
-    """Estimate the worst-case interval hit rate and compare against p.
-
-    Samples ``trials`` independent perturbations of ``x0`` and, for an evenly
-    spaced grid of at most ``max_coords`` coordinates, measures how often the
-    perturbed value falls in (t - delta, t + delta).  Centers tried per
-    coordinate: 0, 1, and the conditional mean (for the Gaussian model the
-    mean alone is the worst center).  Since both models perturb coordinates
-    independently, conditioning on the other coordinates is vacuous and the
-    marginal rate is the conditional one.  Passes when every estimated rate
-    is at most p plus three-sigma binomial slack.
-    """
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials for a meaningful check, got {trials}")
-    if p is None:
-        p = nondet_params(model, x0.n, delta_request=delta).p
-
-    total = x0.X.size
-    stride = max(1, total // max_coords)
-    flat_coords = np.arange(0, total, stride)[:max_coords]
-    base_flat = x0.X.ravel()[flat_coords]
-
-    if isinstance(model, BitFlip):
-        means = base_flat * (1.0 - model.q) + (1.0 - base_flat) * model.q
-        centers = np.stack([np.zeros_like(base_flat), np.ones_like(base_flat), means])
-    else:
-        centers = base_flat[None, :]
-
-    hits = np.zeros((centers.shape[0], flat_coords.size), dtype=np.int64)
-    for t in range(trials):
-        xt = perturb_memberships(x0, model, seed=spawn_seed(seed, "nondet-check", t))
-        vals = xt.X.ravel()[flat_coords]
-        hits += np.abs(vals[None, :] - centers) < delta
-
-    rates = hits / trials
-    worst = np.unravel_index(int(np.argmax(rates)), rates.shape)
-    max_rate = float(rates[worst])
-    slack = 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials)
-    return NondetCheckReport(
-        delta=delta,
-        p=float(p),
-        trials=trials,
-        max_rate=max_rate,
-        slack=slack,
-        worst_coord=int(flat_coords[worst[1]]),
-        worst_center=float(centers[worst]),
-        passed=max_rate <= p + slack,
-    )

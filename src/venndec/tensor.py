@@ -11,6 +11,7 @@ the same row-major order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,6 +46,14 @@ def frozen_array(x) -> np.ndarray:
     return arr
 
 
+def json_int(val, name: str) -> int:
+    """A JSON integer field as an int; ValueError for a bool, a float or
+    anything else that int() would truncate or coerce."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    return int(val)
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Dense real tensor of order >= 1 with finite entries."""
@@ -74,7 +83,7 @@ class Tensor:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "Tensor":
-        dims = [int(d) for d in obj["dims"]]
+        dims = [json_int(d, "dims entry") for d in obj["dims"]]
         entries = np.array(obj["entries"], dtype=float)
         entries.flags.writeable = False  # our own copy: Tensor keeps it uncopied
         if entries.size != math.prod(dims):

@@ -23,7 +23,7 @@ from scipy.optimize import nnls
 
 from .decomp import recover_rank_one_terms
 from .rng import generator
-from .tensor import Tensor, khatri_rao
+from .tensor import Tensor, json_int, khatri_rao
 
 __all__ = [
     "Region",
@@ -141,7 +141,7 @@ class VennDiagram:
     @classmethod
     def from_json_dict(cls, obj) -> "VennDiagram":
         regions = tuple(Region(tuple(r["chi"]), float(r["w"])) for r in obj["regions"])
-        return cls(int(obj["n"]), regions)
+        return cls(json_int(obj["n"], "n"), regions)
 
 
 @dataclass(frozen=True, eq=False)

@@ -203,6 +203,40 @@ def test_echelon_verify_names_labels_as_the_file_writes_them(tmp_path, capsys, d
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_LEAF_2_5 = {"index": [1], "tensor": {"dims": [2.5], "entries": [1.0, 0.0]}}
+_MEMBERS = '{"n": 2, "regions": [{"chi": [0, 1], "w": 1.0}]}'
+_BITFLIP_0 = '{"model": "bitflip", "q": 0.0}'
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("echelon", "verify", "--input", json.dumps({"dims": [2], "tree": [_tree_leaf([1.7], [2])]})),
+         "label entry must be an integer, got 1.7"),
+        (("echelon", "verify", "--input", json.dumps({"dims": [2], "tree": [_tree_leaf([True], [2])]})),
+         "label entry must be an integer, got True"),
+        (("echelon", "verify", "--input", json.dumps({"dims": [2.9], "tree": [_tree_leaf([True], [2])]})),
+         "dims entry must be an integer, got 2.9"),
+        (("echelon", "verify", "--input", json.dumps({"dims": [2], "tree": [_LEAF_2_5]})),
+         "dims entry must be an integer, got 2.5"),
+        (("echelon", "build", "--config",
+          '{"dims": [2.9, 2], "alphas": [0.5, 0.5], "v_vectors": [[1, 0, 0, 0]]}'),
+         "dims entry must be an integer, got 2.9"),
+        (("diff", _MEMBERS.replace('"n": 2', '"n": 2.9'), _MEMBERS), "n must be an integer, got 2.9"),
+        (("perturb", "--input", '{"n": 2.5, "columns": [[1, 0]]}', "--config", _BITFLIP_0),
+         "n must be an integer, got 2.5"),
+        (("perturb", "--input", '{"n": 2, "m": 1.0, "columns": [[1, 0]]}', "--config", _BITFLIP_0),
+         "m must be an integer, got 1.0"),
+    ],
+    ids=["label-float", "label-bool", "tree-dims-float", "leaf-dims-float", "build-dims-float",
+         "diagram-n-float", "members-n-float", "members-m-float"],
+)
+def test_integer_fields_reject_non_integers(args, message, capsys):
+    # int() used to truncate each of these, and the command exited 0
+    assert cli.main(list(args)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_experiment_outputs_reproduce(tmp_path):
     cfg = {
         "kind": "sigma_min", "trials": 3, "seed": 2,

@@ -11,7 +11,7 @@ from venndec.decomp import (
     ConditionReport,
     _als_refit,
     _fix_signs,
-    _group_for_jennrich,
+    _halves,
     _leading_subspace,
     condition_report,
     factor_rank_one,
@@ -21,7 +21,7 @@ from venndec.decomp import (
 )
 from venndec.perturb import BitFlip, MembershipMatrix, perturb_memberships
 from venndec.rng import generator
-from venndec.tensor import Tensor, outer
+from venndec.tensor import Tensor, group, outer
 from venndec.venn import VennDiagram, add_measurement_noise, intersection_tensor
 
 
@@ -291,7 +291,8 @@ def test_als_refit_rank_deficient_khatri_rao_matches_lstsq():
 
 def test_group_halves_order3_is_identity():
     t = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    gt, sizes = _group_for_jennrich(t)
+    sizes = _halves(t.order)
+    gt = group(t, sizes)
     assert gt.dims == (2, 3, 4)
     assert sizes == (1, 1, 1)
     np.testing.assert_array_equal(gt.data, t.data)
@@ -299,14 +300,15 @@ def test_group_halves_order3_is_identity():
 
 def test_group_halves_order5():
     t = Tensor(np.zeros((2, 3, 4, 5, 6)))
-    gt, sizes = _group_for_jennrich(t)
+    sizes = _halves(t.order)
+    gt = group(t, sizes)
     assert sizes == (2, 2, 1)
     assert gt.dims == (6, 20, 6)
 
 
 def test_group_rejects_low_order_and_bad_scheme():
     with pytest.raises(ValueError, match="order"):
-        _group_for_jennrich(Tensor(np.zeros((2, 2))))
+        recover_rank_one_terms(Tensor(np.zeros((2, 2))), 1)
     # halves is the only grouping: no scheme can be asked for
     with pytest.raises(TypeError, match="scheme"):
         recover_rank_one_terms(Tensor(np.zeros((2, 2, 2, 2))), 1, scheme="thirds")
@@ -328,7 +330,7 @@ def test_recover_order4_roundtrip():
     assert len(result.factors) == 4
     assert result.recon_residual <= 1e-6 * np.linalg.norm(t.data)
     assert result.max_residual <= 1e-6
-    assert result.polish_rounds == jennrich(_group_for_jennrich(t)[0], 3, seed=2).polish_rounds
+    assert result.polish_rounds == jennrich(group(t, _halves(t.order)), 3, seed=2).polish_rounds
     for j, i in match_terms(result, factors, scales):
         truth = scales[j] * outer([f[:, j] for f in factors]).data
         rel = np.linalg.norm(term_tensor(result, i) - truth) / np.linalg.norm(truth)

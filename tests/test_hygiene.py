@@ -6,6 +6,8 @@ package's re-exports.  Every name the benchmark's tracer wraps (``LAYERS`` in
 ``perfbench/spans.py``, read here without importing it) must resolve on its
 ``venndec`` module, so a rename shows up here and not only in a traced run.
 No module may use a NumPy name that the declared floor, NumPy 1.24, lacks.
+Every name in an ``__all__`` must have a user: the benchmark, the acceptance
+tests, or code in ``venndec`` that is itself in use.
 """
 
 import ast
@@ -90,6 +92,79 @@ def test_every_benchmark_span_name_resolves():
             if obj is None:
                 missing.append(f"{layer}.{name}")
     assert layers and not missing, f"benchmark spans name nothing in venndec: {missing}"
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Identifiers, attribute names and from-imported names under ``node``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _unused_exports(root: Path) -> list[str]:
+    """``module.name`` for each ``__all__`` entry of ``root/src/venndec`` with
+    no user.  Users are the references in ``perfbench/*.py`` and
+    ``tests/test_acceptance.py``, the benchmark's ``LAYERS`` entries, and the
+    references in ``venndec`` outside the definitions of exported names (and
+    outside ``__init__.py``, whose imports are re-exports).  An exported
+    name's definition adds its own references once that name has a user, so
+    a name that only an unused one refers to has none."""
+    exports, refs_of, used = {}, {}, set()
+    for path in sorted((root / "src" / "venndec").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set(_exported_names(tree))
+        exports.update((name, f"{path.stem}.{name}") for name in names)
+        for node in tree.body:
+            bound = _defined_names(ast.Module([node], []))
+            if "__all__" in bound:
+                continue
+            refs = _referenced_names(node)
+            for name in bound & names:
+                refs_of[name] = refs - {name}
+            if not bound & names:
+                used |= refs
+    for path in [*(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]:
+        used |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    layers = _assigned_value(ast.parse((root / "perfbench" / "spans.py").read_text()), "LAYERS")
+    used |= {name.split(".")[0] for names in ast.literal_eval(layers).values() for name in names}
+    new = used & refs_of.keys()
+    while new:
+        grown = set().union(*(refs_of[name] for name in new)) - used
+        used |= grown
+        new = grown & refs_of.keys()
+    return sorted(qual for name, qual in exports.items() if name not in used)
+
+
+def test_every_export_has_a_user():
+    unused = _unused_exports(Path(__file__).resolve().parents[1])
+    assert not unused, f"exported names that no command, experiment or benchmark uses: {unused}"
+
+
+def test_unused_export_check_follows_users(tmp_path):
+    # run is a benchmark span and Report is what it returns; check and the
+    # report only it builds have no user
+    pkg = tmp_path / "src" / "venndec"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text(
+        '__all__ = ["run", "Report", "check", "CheckReport"]\n'
+        "class Report: pass\n"
+        "def run(): return Report()\n"
+        "class CheckReport: pass\n"
+        "def check(): return CheckReport()\n"
+    )
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "spans.py").write_text('LAYERS = {"m": ("run",)}\n')
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text("")
+    assert _unused_exports(tmp_path) == ["m.CheckReport", "m.check"]
 
 
 _NUMPY_FLOOR = "numpy>=1.24"
