@@ -200,10 +200,14 @@ class RepresentationViolation:
         return f"{self.kind} at {self.where}: {self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationReport:
+    """``overlaps`` is the read-only V x V int64 matrix of |S_u & S_v| with
+    |S_v| on its diagonal: every count the verdict was read from."""
+
     ok: bool
     violations: tuple[RepresentationViolation, ...]
+    overlaps: np.ndarray
 
 
 def verify_representation(
@@ -212,11 +216,12 @@ def verify_representation(
     p: AssemblyParams,
     size_mode: str = "exact",
 ) -> RepresentationReport:
-    """Check every pair and every size against the thresholds.
+    """Count every size and pairwise overlap once; check them against the thresholds.
 
     ``size_mode="exact"`` (the default, for ``represent_graph``) requires
     |S_v| = K; ``"expected"`` (for ``soft_realize``, whose sizes are K only
-    on average) tolerates |S_v| within K plus or minus 3*sqrt(K).
+    on average) tolerates |S_v| within K plus or minus 3*sqrt(K).  Size
+    violations come first, by vertex, then pair violations, by (u, v).
     """
     if len(family.sets) != g.n_vertices:
         raise ValueError(
@@ -225,27 +230,25 @@ def verify_representation(
     if size_mode not in ("exact", "expected"):
         raise ValueError(f"size_mode must be 'exact' or 'expected', got {size_mode!r}")
 
-    violations: list[RepresentationViolation] = []
-    slack = 3.0 * math.sqrt(p.K)
-    for v, s in enumerate(family.sets):
-        size = int(s.size)
-        if size_mode == "exact":
-            if size != p.K:
-                violations.append(RepresentationViolation("size", (v,), size))
-        elif abs(size - p.K) > slack:
-            violations.append(RepresentationViolation("size", (v,), size))
+    sets, n = family.sets, g.n_vertices
+    overlaps = np.diag(np.array(family.sizes(), dtype=np.int64))
+    for u, v in zip(*np.triu_indices(n, 1)):
+        overlaps[u, v] = overlaps[v, u] = np.intersect1d(sets[u], sets[v], assume_unique=True).size
+    overlaps.flags.writeable = False
 
-    for u in range(g.n_vertices):
-        for v in range(u + 1, g.n_vertices):
-            inter = int(
-                np.intersect1d(family.sets[u], family.sets[v], assume_unique=True).size
-            )
-            if (u, v) in g.edges:
-                if inter < p.a:
-                    violations.append(RepresentationViolation("edge", (u, v), inter))
-            elif inter > p.b:
-                violations.append(RepresentationViolation("non_edge", (u, v), inter))
-    return RepresentationReport(ok=not violations, violations=tuple(violations))
+    sizes = overlaps.diagonal()
+    bad_size = sizes != p.K if size_mode == "exact" else np.abs(sizes - p.K) > 3.0 * math.sqrt(p.K)
+    adjacent = np.zeros((n, n), dtype=bool)
+    for e in g.edges:
+        adjacent[e] = True
+    bad_pair = np.triu(np.where(adjacent, overlaps < p.a, overlaps > p.b), 1)
+    violations = [RepresentationViolation("size", (v,), int(sizes[v]))
+                  for v in np.flatnonzero(bad_size).tolist()]
+    violations += [
+        RepresentationViolation("edge" if adjacent[u, v] else "non_edge", (u, v), int(overlaps[u, v]))
+        for u, v in np.argwhere(bad_pair).tolist()
+    ]
+    return RepresentationReport(not violations, tuple(violations), overlaps)
 
 
 @dataclass(frozen=True)
@@ -367,28 +370,28 @@ def soft_realize(
         raise ValueError(f"infeasible margin: pool sampling rate {pool_rate:.3f} > 1")
 
     program: list[Instruction] = []
-    pool_name: dict[tuple[int, int], str] = {}
+    incident: list[list[str]] = [[] for _ in range(g.n_vertices)]
     for u, v in g.sorted_edges():
         name = f"pool_{u + 1}_{v + 1}"
-        pool_name[(u, v)] = name
+        incident[u].append(name)
+        incident[v].append(name)
         program.append(Instruction("sample", ("universe", pool_rate), name))
 
-    for v in range(g.n_vertices):
-        incident = [pool_name[e] for e in g.sorted_edges() if v in e]
-        fill_rate = (p.K - len(incident) * p.a * (1.0 + margin)) / p.N
+    for v, pools in enumerate(incident):
+        fill_rate = (p.K - len(pools) * p.a * (1.0 + margin)) / p.N
         if fill_rate < 0.0:
             raise ValueError(
                 f"infeasible margin: vertex {v} pools already exceed K on average"
             )
         out = f"set_{v + 1}"
-        if not incident:
+        if not pools:
             program.append(Instruction("sample", ("universe", fill_rate), out))
             continue
         fill = f"fill_{v + 1}"
         program.append(Instruction("sample", ("universe", fill_rate), fill))
         acc = fill
-        for j, pool in enumerate(incident):
-            target = out if j == len(incident) - 1 else f"tmp_{v + 1}_{j}"
+        for j, pool in enumerate(pools):
+            target = out if j == len(pools) - 1 else f"tmp_{v + 1}_{j}"
             program.append(Instruction("union", (acc, pool), target))
             acc = target
 

@@ -130,6 +130,18 @@ def test_verify_checks_family_shape():
         verify_representation(g, AssemblyFamily(100, (np.arange(5),) * 3), p, size_mode="average")
 
 
+@pytest.mark.parametrize("build", ["exact", "soft"])
+def test_verify_reports_every_overlap(build):
+    g = AssociationGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    p = AssemblyParams(N=20000, K=600, a=60, b=30)
+    family = represent_graph(g, p) if build == "exact" else soft_realize(g, p, seed=3)[0]
+    report = verify_representation(g, family, p, size_mode="expected")
+    s = family.sets
+    want = [[np.intersect1d(s[u], s[v]).size for v in range(6)] for u in range(6)]
+    assert report.overlaps.dtype == np.int64 and not report.overlaps.flags.writeable
+    np.testing.assert_array_equal(report.overlaps, want)
+
+
 def test_family_validation():
     fam = AssemblyFamily(10, (np.array([9, 0, 3]), np.array([], dtype=np.int64)))
     assert fam.sizes() == [3, 0]
