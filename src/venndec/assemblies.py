@@ -284,17 +284,11 @@ class Instruction:
 
 
 def _sample_universe(rng: np.random.Generator, n_total: int, prob: float) -> np.ndarray:
-    """Independent Bernoulli(prob) inclusion over [0, n_total), without materializing it."""
+    """Independent Bernoulli(prob) inclusion over [0, n_total), without
+    materializing it: a Binomial(n_total, prob) count k, then k distinct
+    elements drawn uniformly without replacement, as a sorted int64 array."""
     k = int(rng.binomial(n_total, prob))
-    chosen = np.zeros(0, dtype=np.int64)
-    while chosen.size < k:
-        # chosen is sorted, so a stable sort (a merge sort) merges each
-        # round's draws into it in linear time, where np.union1d would sort
-        # the whole set again: near rate 1 that takes thousands of rounds
-        draw = rng.integers(0, n_total, size=k - chosen.size)
-        merged = np.sort(np.concatenate((chosen, draw)), kind="stable")
-        chosen = merged[np.diff(merged, prepend=-1) > 0]
-    return chosen
+    return np.sort(rng.choice(n_total, size=k, replace=False, shuffle=False))
 
 
 def soft_build(
