@@ -166,30 +166,28 @@ def _cmd_diff(args) -> int:
     return _EXIT_OK if diff.exact_match else _EXIT_VERIFY
 
 
-def _cmd_echelon(args) -> int:
-    if args.action == "build":
-        if args.config is None:
-            raise ValueError("echelon build needs --config")
-        cfg = _load_json(args.config)
-        dims = [json_int(d, "dims entry") for d in cfg["dims"]]
-        if "w_vectors" in cfg:
-            w = SubspaceBasis.from_span(np.asarray(cfg["w_vectors"], dtype=float).T, dims)
-        elif "v_vectors" in cfg:
-            v = SubspaceBasis.from_span(np.asarray(cfg["v_vectors"], dtype=float).T, dims)
-            w = orthogonal_complement(v)
-        else:
-            raise ValueError("config needs 'w_vectors' (basis of W) or 'v_vectors' (basis of V)")
-        tree, trace = build_echelon_tree(w, BranchingSpec(tuple(cfg["alphas"])))
-        _emit_json(tree.to_json_dict(), args.out)
-        report = verify_echelon(tree)
-        sys.stderr.write(
-            f"built tree over dims {tuple(dims)}: {len(tree.leaf_tensors)} leaves, "
-            f"largeness {largeness(tree):.6g}, verified={report.ok}, "
-            f"{len(trace.records)} recursion steps\n"
-        )
-        return _EXIT_OK
-    if args.input is None:
-        raise ValueError("echelon verify needs --input")
+def _cmd_echelon_build(args) -> int:
+    cfg = _load_json(args.config)
+    dims = [json_int(d, "dims entry") for d in cfg["dims"]]
+    if "w_vectors" in cfg:
+        w = SubspaceBasis.from_span(np.asarray(cfg["w_vectors"], dtype=float).T, dims)
+    elif "v_vectors" in cfg:
+        v = SubspaceBasis.from_span(np.asarray(cfg["v_vectors"], dtype=float).T, dims)
+        w = orthogonal_complement(v)
+    else:
+        raise ValueError("config needs 'w_vectors' (basis of W) or 'v_vectors' (basis of V)")
+    tree, trace = build_echelon_tree(w, BranchingSpec(tuple(cfg["alphas"])))
+    _emit_json(tree.to_json_dict(), args.out)
+    report = verify_echelon(tree)
+    sys.stderr.write(
+        f"built tree over dims {tuple(dims)}: {len(tree.leaf_tensors)} leaves, "
+        f"largeness {largeness(tree):.6g}, verified={report.ok}, "
+        f"{len(trace.records)} recursion steps\n"
+    )
+    return _EXIT_OK
+
+
+def _cmd_echelon_verify(args) -> int:
     tree = EchelonTree.from_json_dict(_load_json(args.input))
     report = verify_echelon(tree, tolerance=args.tolerance)
     _emit_json(
@@ -274,12 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_diff)
 
-    p = add("echelon", parents=[out], help="build or verify echelon trees")
-    p.add_argument("action", choices=("build", "verify"))
-    p.add_argument("--config", default=None, help="build config: dims, alphas, v_vectors|w_vectors")
-    p.add_argument("--input", default=None, help="tree JSON (verify)")
+    p = add("echelon", help="build or verify echelon trees")
+    action = functools.partial(p.add_subparsers(dest="action", required=True).add_parser,
+                               parents=[out], allow_abbrev=False)
+    p = action("build", help="build a tree and emit its JSON")
+    p.add_argument("--config", required=True, help="build config: dims, alphas, v_vectors|w_vectors")
+    p.set_defaults(func=_cmd_echelon_build)
+    p = action("verify", help="verify a tree; exit 2 on violation")
+    p.add_argument("--input", required=True, help="tree JSON")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_echelon)
+    p.set_defaults(func=_cmd_echelon_verify)
 
     p = add("experiment", parents=[out], help="run a seeded Monte Carlo experiment")
     p.add_argument("--config", required=True, help="experiment config JSON (or a previous report)")

@@ -36,7 +36,7 @@ from .assemblies import SOFT_MARGIN, AssemblyParams, AssociationGraph, soft_real
 from .echelon import BranchingSpec, SubspaceBasis, build_echelon_tree, certify_distance, orthogonal_complement, verify_echelon
 from .perturb import MembershipMatrix, NondetParams, model_from_json_dict, nondet_params, perturb_memberships
 from .rng import generator, spawn_seed
-from .tensor import khatri_rao
+from .tensor import json_int, khatri_rao
 from .venn import VennDiagram, add_measurement_noise, diagram_diff, intersection_tensor, reconstruct
 
 __all__ = [
@@ -62,6 +62,8 @@ _FIELDS = {
     "soft_model": (("graph", "K", "a", "b", "N"), ("margin",)),
 }
 _KINDS = tuple(_FIELDS)
+_INT_FIELDS = ("n", "ell", "m", "m_max", "K", "a", "b", "N")
+_FLOAT_FIELDS = ("c", "delta", "eps", "margin")
 _MATCH_TOL = 1e-8
 
 
@@ -71,7 +73,8 @@ class ExperimentConfig:
 
     ``model`` is the perturbation model in its JSON form, e.g.
     {"model": "bitflip", "q": 0.5}.  ``graph`` is either "cycle:<k>" or
-    edge-list text.
+    edge-list text.  Integer fields must be integers and float fields
+    numbers, neither a bool; a wrong type is a ValueError.
     """
 
     kind: str
@@ -108,6 +111,15 @@ class ExperimentConfig:
                   and f.name not in ("kind", "trials", "seed", *required, *optional)]
         if unread:
             raise ValueError(f"{self.kind} experiment does not read config fields {unread}")
+        for name in _INT_FIELDS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, json_int(getattr(self, name), name))
+        for name in _FLOAT_FIELDS:  # stored as given, so reports keep their text
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (numbers.Real, type(None))):
+                raise ValueError(f"{name} must be a number, got {val!r}")
+        if not isinstance(self.graph, (str, type(None))):
+            raise ValueError(f"graph must be a string, got {self.graph!r}")
         if self.model is not None:
             object.__setattr__(self, "model", dict(self.model))
 

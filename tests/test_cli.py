@@ -256,21 +256,41 @@ def test_experiment_outputs_reproduce(tmp_path):
     assert r.stdout.splitlines()[0] == "trial,seed,statistic,threshold,failure"
 
 
+_BASE_CONFIGS = {
+    "sigma_min": {"kind": "sigma_min", "trials": 2, "seed": 1, "n": 8, "ell": 2, "m": 4, "c": 0.5,
+                  "model": {"model": "bitflip", "q": 0.5}},
+    "echelon": {"kind": "echelon", "trials": 2, "seed": 1, "n": 4, "ell": 2, "c": 0.5,
+                "model": {"model": "bitflip", "q": 0.5}},
+    "roundtrip": {"kind": "roundtrip", "trials": 2, "seed": 1, "n": 18, "ell": 3, "m": 2,
+                  "model": {"model": "bitflip", "q": 0.5}},
+    "soft_model": {"kind": "soft_model", "trials": 2, "seed": 1, "graph": "cycle:4",
+                   "K": 500, "a": 40, "b": 10, "N": 10**5},
+}
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
         ("trials", 2.7, "trials must be an integer >= 1, got 2.7"),
         ("trials", True, "trials must be an integer >= 1, got True"),
         ("seed", -3, "seed must be an integer >= 0, got -3"),
+        # "kind.field" sets a field of that kind's base config
+        ("sigma_min.ell", True, "ell must be an integer, got True"),
+        ("sigma_min.c", "0.5", "c must be a number, got '0.5'"),
+        ("echelon.n", 4.0, "n must be an integer, got 4.0"),
+        ("echelon.delta", True, "delta must be a number, got True"),
+        ("roundtrip.n", 18.5, "n must be an integer, got 18.5"),
+        ("roundtrip.m_max", 2.5, "m_max must be an integer, got 2.5"),
+        ("roundtrip.eps", True, "eps must be a number, got True"),
+        ("soft_model.K", 500.9, "K must be an integer, got 500.9"),
+        ("soft_model.N", 1e5, "N must be an integer, got 100000.0"),
+        ("soft_model.graph", 5, "graph must be a string, got 5"),
+        ("soft_model.margin", [0.4], "margin must be a number, got [0.4]"),
     ],
 )
 def test_experiment_config_errors_exit_1(field, value, message, capsys):
-    cfg = {
-        "kind": "sigma_min", "trials": 2, "seed": 1,
-        "n": 8, "ell": 2, "m": 4, "c": 0.5,
-        "model": {"model": "bitflip", "q": 0.5},
-        field: value,
-    }
+    kind, _, name = field.rpartition(".")
+    cfg = dict(_BASE_CONFIGS[kind or "sigma_min"], **{name: value})
     assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -346,6 +366,10 @@ def test_error_exit_codes(tmp_path):
             "7",
         ),
         ("gen", "--n", "3", "--m", "3", "--se", "1"),
+        ("echelon", "build", "--config", '{"dims": [2], "alphas": [0.5], "w_vectors": [[1, 0]]}',
+         "--input", "tree.json", "--tolerance", "0.1"),
+        ("echelon", "verify", "--input", json.dumps({"dims": [2], "tree": [_tree_leaf([1], [2])]}),
+         "--config", "{}"),
     ],
 )
 def test_bad_arguments_are_contract_errors(args, capsys):

@@ -7,11 +7,15 @@ package's re-exports.  Every name the benchmark's tracer wraps (``LAYERS`` in
 ``venndec`` module, so a rename shows up here and not only in a traced run.
 No module may use a NumPy name that the declared floor, NumPy 1.24, lacks.
 Every name in an ``__all__`` must have a user: the benchmark, the acceptance
-tests, or code in ``venndec`` that is itself in use.
+tests, or code in ``venndec`` that is itself in use.  Every flag of every CLI
+subcommand must be read by that subcommand's handler.
 """
 
+import argparse
 import ast
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -242,3 +246,41 @@ def test_no_numpy_name_after_the_floor(path):
 )
 def test_numpy_floor_check_finds_names(source, want):
     assert _numpy_names_after_floor(ast.parse(source)) == want
+
+
+def _unread_flags(parser: argparse.ArgumentParser) -> list[str]:
+    """``"<prog>: <dest>"`` for each option of each leaf subcommand (nested
+    ones included) that the leaf's ``func`` handler never reads as
+    ``args.<dest>``; ``help`` is left out."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        return [flag for a in subs for sub in a.choices.values() for flag in _unread_flags(sub)]
+    tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("func"))))
+    arg = tree.body[0].args.args[0].arg
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == arg}
+    return [f"{parser.prog}: {a.dest}" for a in parser._actions if a.dest != "help" and a.dest not in read]
+
+
+def test_every_cli_flag_is_read_by_its_handler():
+    from venndec.cli import build_parser
+
+    unread = _unread_flags(build_parser())
+    assert not unread, f"subcommand flags that their handlers never read: {unread}"
+
+
+def _handler_reading_a(args):
+    return args.a
+
+
+def test_unread_flag_check_finds_a_skipped_flag():
+    parser = argparse.ArgumentParser(prog="tool")
+    commands = parser.add_subparsers(dest="command")
+    leaf = commands.add_parser("run").add_subparsers(dest="action").add_parser("leaf")
+    leaf.add_argument("--a")
+    leaf.add_argument("--skipped")
+    leaf.set_defaults(func=_handler_reading_a)
+    flat = commands.add_parser("flat")
+    flat.add_argument("b")
+    flat.set_defaults(func=_handler_reading_a)
+    assert _unread_flags(parser) == ["tool run leaf: skipped", "tool flat: b"]
