@@ -130,16 +130,39 @@ def test_verify_checks_family_shape():
         verify_representation(g, AssemblyFamily(100, (np.arange(5),) * 3), p, size_mode="average")
 
 
+def violations_by_loop(g, sets, p, size_mode):
+    """The pairwise loop that ``verify_representation`` replaced, kept as the
+    reference for its violations, their order and their values."""
+    out = []
+    for v, s in enumerate(sets):
+        if (s.size != p.K) if size_mode == "exact" else (abs(s.size - p.K) > 3.0 * math.sqrt(p.K)):
+            out.append(f"size at ({v},): {s.size}")
+    for u in range(len(sets)):
+        for v in range(u + 1, len(sets)):
+            inter = np.intersect1d(sets[u], sets[v]).size
+            if (u, v) in g.edges:
+                if inter < p.a:
+                    out.append(f"edge at {(u, v)}: {inter}")
+            elif inter > p.b:
+                out.append(f"non_edge at {(u, v)}: {inter}")
+    return out
+
+
 @pytest.mark.parametrize("build", ["exact", "soft"])
 def test_verify_reports_every_overlap(build):
     g = AssociationGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
     p = AssemblyParams(N=20000, K=600, a=60, b=30)
     family = represent_graph(g, p) if build == "exact" else soft_realize(g, p, seed=3)[0]
-    report = verify_representation(g, family, p, size_mode="expected")
     s = family.sets
     want = [[np.intersect1d(s[u], s[v]).size for v in range(6)] for u in range(6)]
-    assert report.overlaps.dtype == np.int64 and not report.overlaps.flags.writeable
-    np.testing.assert_array_equal(report.overlaps, want)
+    # the tight thresholds make the soft family break every kind of constraint
+    for q in (p, AssemblyParams(N=20000, K=600, a=100, b=15)):
+        for size_mode in ("exact", "expected"):
+            report = verify_representation(g, family, q, size_mode=size_mode)
+            assert report.overlaps.dtype == np.int64 and not report.overlaps.flags.writeable
+            np.testing.assert_array_equal(report.overlaps, want)
+            assert [str(v) for v in report.violations] == violations_by_loop(g, s, q, size_mode)
+            assert report.ok == (not report.violations)
 
 
 def test_family_validation():
